@@ -154,11 +154,37 @@ impl Chunk {
         }
     }
 
-    /// Converts to the compressed representation (cheap if already so).
-    pub fn into_compressed(self) -> CompressedChunk {
+    /// Calls `f(offsets, measures)` over the valid cells in offset
+    /// order, in batches: `measures` is row-major, `offsets.len() *
+    /// n_measures` long. A compressed chunk is one batch of its own
+    /// columns, passed without copying; a dense chunk is gathered
+    /// [`diffseq::BLOCK`] cells at a time — the batch shape the
+    /// diff-seq cursor yields, so one aggregation kernel serves every
+    /// format.
+    pub fn for_each_batch<F: FnMut(&[u32], &[i64])>(&self, mut f: F) {
         match self {
-            Chunk::Compressed(c) => c,
-            Chunk::Dense(d) => d.compress(),
+            Chunk::Compressed(c) => {
+                let (offsets, values) = c.columns();
+                f(offsets, values);
+            }
+            Chunk::Dense(d) => {
+                let p = d.n_measures();
+                let mut offsets = [0u32; diffseq::BLOCK];
+                let mut values = vec![0i64; diffseq::BLOCK * p];
+                let mut k = 0;
+                for (off, v) in d.iter_valid() {
+                    offsets[k] = off;
+                    values[k * p..(k + 1) * p].copy_from_slice(v);
+                    k += 1;
+                    if k == diffseq::BLOCK {
+                        f(&offsets, &values);
+                        k = 0;
+                    }
+                }
+                if k > 0 {
+                    f(&offsets[..k], &values[..k * p]);
+                }
+            }
         }
     }
 
@@ -187,6 +213,33 @@ pub enum ChunkPayload {
 }
 
 impl ChunkPayload {
+    /// Number of valid cells; `limit` is the chunk's cell count.
+    pub fn valid_cells(&self, limit: u32) -> Result<u64> {
+        match self {
+            ChunkPayload::Chunk(c) => Ok(c.valid_cells()),
+            ChunkPayload::DiffSeq(bytes) => {
+                Ok(diffseq::DiffSeqCursor::new(bytes, limit)?.len() as u64)
+            }
+        }
+    }
+
+    /// [`Chunk::for_each_batch`] over either payload: diff-seq bytes
+    /// stream block by block through a `diffseq::DiffSeqCursor`, so the
+    /// scan never materializes a chunk. `limit` is the chunk's cell
+    /// count; a corrupt stream surfaces as [`ArrayError::Corrupt`].
+    pub fn for_each_batch<F: FnMut(&[u32], &[i64])>(&self, limit: u32, mut f: F) -> Result<()> {
+        match self {
+            ChunkPayload::Chunk(c) => c.for_each_batch(f),
+            ChunkPayload::DiffSeq(bytes) => {
+                let mut cursor = diffseq::DiffSeqCursor::new(bytes, limit)?;
+                while let Some((offsets, values)) = cursor.next_batch()? {
+                    f(offsets, values);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Materializes the payload into a decoded chunk (identity for
     /// [`ChunkPayload::Chunk`]); `limit` is the chunk's cell count.
     pub fn into_chunk(self, limit: u32) -> Result<Arc<Chunk>> {
@@ -199,7 +252,7 @@ impl ChunkPayload {
     }
 }
 
-/// Reusable buffers for [`ChunkedArray::read_chunk_prefetched`]: one
+/// Reusable buffers for [`ChunkedArray::read_chunk_prefetched_at`]: one
 /// per prefetcher thread, so the pipeline's per-chunk page span, LOB
 /// byte, and decode allocations are paid once per query instead of
 /// once per chunk.
@@ -380,7 +433,8 @@ impl ChunkedArray {
         }
     }
 
-    /// The prefetcher's edition of [`ChunkedArray::read_chunk`].
+    /// The prefetcher's edition of [`ChunkedArray::read_chunk_at`]
+    /// (same snapshot rules).
     ///
     /// Identical cache behaviour (lookup, publication, hit/miss
     /// counters), but a cache miss on a cold multi-page chunk is read
@@ -401,17 +455,6 @@ impl ChunkedArray {
     /// re-checked after the decode); a torn decode failure without a
     /// pin falls back to the pooled path, which page latches serialize
     /// against the writer.
-    pub fn read_chunk_prefetched(
-        &self,
-        chunk_no: u64,
-        scratch: &mut PrefetchScratch,
-    ) -> Result<Arc<Chunk>> {
-        self.read_chunk_prefetched_at(chunk_no, scratch, None)
-    }
-
-    /// [`ChunkedArray::read_chunk_prefetched`] against a
-    /// [`ChunkSnapshot`] (see [`ChunkedArray::read_chunk_at`] for the
-    /// snapshot rules).
     pub fn read_chunk_prefetched_at(
         &self,
         chunk_no: u64,
@@ -794,19 +837,6 @@ impl ChunkedArray {
         if let Some(versions) = self.versions.as_deref() {
             versions.poison();
         }
-    }
-
-    /// Calls `f(chunk_no, chunk)` for every chunk in chunk-number order
-    /// (which is also disk order).
-    pub fn for_each_chunk<F>(&self, mut f: F) -> Result<()>
-    where
-        F: FnMut(u64, &Chunk),
-    {
-        for chunk_no in 0..self.shape.num_chunks() {
-            let chunk = self.read_chunk(chunk_no)?;
-            f(chunk_no, &chunk);
-        }
-        Ok(())
     }
 
     /// Calls `f(coords, measures)` for every valid cell, in chunk order
@@ -1363,7 +1393,7 @@ mod tests {
 
             let mut scratch = PrefetchScratch::default();
             let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             assert_eq!(got.valid_cells(), expect0.valid_cells());
             for x in (0..4096u32).step_by(3) {
                 assert_eq!(got.probe(x), Some(&[x as i64 * 7][..]), "{format:?}");
@@ -1373,7 +1403,7 @@ mod tests {
 
             // The decode was published: both read paths now hit.
             let before = p.stats().snapshot();
-            a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             a.read_chunk(0).unwrap();
             let d = p.stats().snapshot().since(&before);
             assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (0, 2));
@@ -1382,7 +1412,7 @@ mod tests {
             // read re-reads cold and still decodes correctly.
             p.clear().unwrap();
             let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             assert_eq!(got.valid_cells(), expect0.valid_cells());
             let d = p.stats().snapshot().since(&before);
             assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (1, 0));

@@ -94,6 +94,11 @@ impl CompressedChunk {
         })
     }
 
+    /// The offset column and the row-major measures parallel to it.
+    pub(crate) fn columns(&self) -> (&[u32], &[i64]) {
+        (&self.offsets, &self.values)
+    }
+
     /// Entry `i`'s offset (entries are offset-sorted).
     #[inline]
     pub fn offset_at(&self, i: usize) -> u32 {

@@ -18,6 +18,11 @@
 //! `space` condvar when they are `depth` chunks ahead of delivery, which
 //! caps decoded-chunk memory at `depth × chunk size`.
 //!
+//! Run with no producers, the same pipeline is the inline scan:
+//! consumers claim candidates and read them themselves
+//! ([`ChunkPipeline::read_next`]), with the same snapshot and the same
+//! streamed-or-materialized payloads.
+//!
 //! Lock discipline: the `delivery` mutex ranks between `catalog` and
 //! `chunks` (DESIGN.md §8). Producers drop it across the read+decode and
 //! nothing else is ever acquired while it is held.
@@ -31,32 +36,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::array::{Chunk, ChunkPayload, ChunkedArray, PrefetchScratch};
 use crate::version::ChunkSnapshot;
 use crate::Result;
-
-/// Tuning knobs for the prefetch pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct PrefetchConfig {
-    /// Number of prefetcher (read + decode) threads.
-    pub threads: usize,
-    /// Bound on undelivered decoded chunks (backpressure window).
-    pub depth: usize,
-}
-
-impl PrefetchConfig {
-    /// A config clamped to sane minimums (at least one thread, a
-    /// delivery window of at least one chunk).
-    pub fn new(threads: usize, depth: usize) -> Self {
-        PrefetchConfig {
-            threads: threads.max(1),
-            depth: depth.max(1),
-        }
-    }
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig::new(2, 8)
-    }
-}
 
 struct QueueState {
     /// Next candidate index a producer will claim.
@@ -73,7 +52,8 @@ struct QueueState {
 /// (prefetcher) threads and consumer (aggregation) threads.
 ///
 /// The owner spawns producers that loop on [`ChunkPipeline::run_worker`]
-/// and consumers that loop on [`ChunkPipeline::next`]. When a consumer
+/// and consumers that loop on [`ChunkPipeline::next`] — or, with no
+/// producers, on [`ChunkPipeline::read_next`]. When a consumer
 /// receives an `Err` it must call [`ChunkPipeline::shutdown`] and stop;
 /// producers keep publishing (errors included) until cancelled, so
 /// delivery always progresses and nobody parks forever.
@@ -82,7 +62,7 @@ pub struct ChunkPipeline {
     candidates: Vec<u64>,
     depth: usize,
     pool: Arc<BufferPool>,
-    /// Optional read snapshot: when set, every producer read resolves
+    /// Optional read snapshot: when set, every read resolves
     /// through it, so the whole pipelined scan observes one commit
     /// generation even while a writer publishes mid-scan.
     snapshot: Option<ChunkSnapshot>,
@@ -178,21 +158,7 @@ impl ChunkPipeline {
             };
             stats.prefetch_issue();
             // Read + decode/validate outside the delivery lock.
-            let result = if self.streaming {
-                array.read_chunk_stream_at(
-                    self.candidates[index],
-                    &mut scratch,
-                    self.snapshot.as_ref(),
-                )
-            } else {
-                array
-                    .read_chunk_prefetched_at(
-                        self.candidates[index],
-                        &mut scratch,
-                        self.snapshot.as_ref(),
-                    )
-                    .map(ChunkPayload::Chunk)
-            };
+            let result = self.read(array, self.candidates[index], &mut scratch);
             let mut q = self.delivery.lock();
             if q.cancelled {
                 stats.prefetch_wasted_add(1);
@@ -201,6 +167,49 @@ impl ChunkPipeline {
             q.ready.insert(index, result);
             stats.prefetch_queue_depth(q.ready.len() as u64);
             self.avail.notify_all();
+        }
+    }
+
+    /// Inline mode, for a pipeline run with no prefetchers: claims the
+    /// next candidate and reads it on the calling thread. Several
+    /// inline consumers may share one pipeline; each chunk goes to
+    /// exactly one of them, and none ever waits on the delivery queue.
+    /// Inline reads bypass the queue and its prefetch counters.
+    pub fn read_next(
+        &self,
+        array: &ChunkedArray,
+        scratch: &mut PrefetchScratch,
+    ) -> Option<Result<(u64, ChunkPayload)>> {
+        let index = {
+            let mut q = self.delivery.lock();
+            if q.cancelled || q.next_issue >= self.candidates.len() {
+                return None;
+            }
+            q.next_issue += 1;
+            q.next_issue - 1
+        };
+        let chunk_no = self.candidates[index];
+        Some(
+            self.read(array, chunk_no, scratch)
+                .map(|payload| (chunk_no, payload)),
+        )
+    }
+
+    /// Reads one candidate at the pipeline's snapshot, streamed or
+    /// materialized as configured.
+    fn read(
+        &self,
+        array: &ChunkedArray,
+        chunk_no: u64,
+        scratch: &mut PrefetchScratch,
+    ) -> Result<ChunkPayload> {
+        let snap = self.snapshot.as_ref();
+        if self.streaming {
+            array.read_chunk_stream_at(chunk_no, scratch, snap)
+        } else {
+            array
+                .read_chunk_prefetched_at(chunk_no, scratch, snap)
+                .map(ChunkPayload::Chunk)
         }
     }
 
@@ -351,6 +360,41 @@ mod tests {
             s.prefetch_wasted
         );
         assert_eq!(s.prefetch_issued, s.prefetch_hits + s.prefetch_wasted);
+    }
+
+    #[test]
+    fn inline_consumers_claim_each_candidate_once() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
+        let a = sample_array(&pool, ChunkFormat::DiffSeq);
+        let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
+        let pipe = ChunkPipeline::new(pool.clone(), candidates.clone(), 1).with_streaming(true);
+        let before = pool.stats().snapshot();
+        let mut seen: Vec<u64> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut scratch = PrefetchScratch::default();
+                        let mut mine = Vec::new();
+                        while let Some(item) = pipe.read_next(&a, &mut scratch) {
+                            let (chunk_no, payload) = item.unwrap();
+                            let limit = a.shape().chunk_cells() as u32;
+                            let expect = a.read_chunk(chunk_no).unwrap().valid_cells();
+                            assert_eq!(payload.valid_cells(limit).unwrap(), expect);
+                            mine.push(chunk_no);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, candidates);
+        let d = pool.stats().snapshot().since(&before);
+        assert_eq!(d.prefetch_issued + d.prefetch_hits, 0);
     }
 
     #[test]

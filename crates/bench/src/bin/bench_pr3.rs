@@ -3,10 +3,12 @@
 //!
 //! The baseline is the paper's §5.3 methodology — a *cold* sequential
 //! consolidation (`BufferPool::clear` before every run, which also
-//! epoch-invalidates the chunk cache; exactly the pre-PR path, which
-//! re-read and re-decoded every chunk on every query). Against it we
-//! measure the same selection-free Query 1 cold and warm at 1/2/4/8
-//! worker threads, for both chunk formats:
+//! epoch-invalidates the chunk cache; the per-cell
+//! `OlapArray::consolidate`, which re-reads and re-decodes every chunk
+//! on every query). Against it we measure the same selection-free
+//! Query 1 cold and warm at 1/2/4/8 threads — 1 is the per-cell path,
+//! 2/4/8 that many executor consumers fed by two prefetchers — for
+//! both chunk formats:
 //!
 //! * `chunk_offset` — the paper's §3.3 format; decode is a cheap
 //!   memcpy-shaped pass, so the cache mostly saves the physical reads.
@@ -29,7 +31,7 @@ use std::time::Instant;
 
 use molap_array::ChunkFormat;
 use molap_bench::{PAPER_CHUNK_DIMS, PAPER_POOL_BYTES};
-use molap_core::{consolidate_parallel, DimGrouping, OlapArray, Query};
+use molap_core::{consolidate_pipelined, DimGrouping, OlapArray, PrefetchPlan, Query};
 use molap_datagen::{generate, CubeSpec};
 use molap_storage::{BufferPool, FileDisk};
 
@@ -99,7 +101,7 @@ fn main() {
                     s.wall_ms, s.physical_reads, s.chunk_cache_hits, s.chunk_cache_misses
                 );
                 // Every configuration must agree with the sequential answer.
-                let check = consolidate_parallel(&adt, &query, threads).expect("check query");
+                let check = run_once(&adt, &query, threads);
                 assert_eq!(check, expect, "{name} {mode} t={threads} diverged");
                 samples.push(s);
             }
@@ -201,11 +203,12 @@ fn measure(adt: &OlapArray, query: &Query, mode: &str, threads: usize, runs: usi
     }
 }
 
-fn run_once(adt: &OlapArray, query: &Query, threads: usize) {
+fn run_once(adt: &OlapArray, query: &Query, threads: usize) -> molap_core::ConsolidationResult {
     if threads == 1 {
-        adt.consolidate(query).expect("sequential run");
+        adt.consolidate(query).expect("sequential run")
     } else {
-        consolidate_parallel(adt, query, threads).expect("parallel run");
+        let plan = PrefetchPlan::new(2, 16);
+        consolidate_pipelined(adt, query, threads, plan).expect("parallel run")
     }
 }
 

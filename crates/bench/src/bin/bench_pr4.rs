@@ -3,9 +3,10 @@
 //!
 //! The baseline is a *cold* sequential consolidation
 //! (`BufferPool::clear` before every run — the §5.3 methodology; the
-//! pipeline-off runs take exactly the pre-PR code). Against it we run
-//! the same selection-free Query 1 cold and warm, pipeline off and on,
-//! at 1/2/4/8 threads, for both chunk formats:
+//! pipeline-off rows run the per-cell `OlapArray::consolidate`, at one
+//! thread only). Against it we run the same selection-free Query 1
+//! cold and warm through the pipelined executor at 1/2/4/8 threads,
+//! for both chunk formats:
 //!
 //! * `chunk_offset` — decode is a cheap memcpy-shaped pass, so the
 //!   pipeline's win is vectored bypass reads + per-chunk kernels.
@@ -30,9 +31,7 @@ use std::time::Instant;
 
 use molap_array::ChunkFormat;
 use molap_bench::{PAPER_CHUNK_DIMS, PAPER_POOL_BYTES};
-use molap_core::{
-    consolidate_parallel, consolidate_pipelined, DimGrouping, OlapArray, PrefetchPlan, Query,
-};
+use molap_core::{consolidate_pipelined, DimGrouping, OlapArray, PrefetchPlan, Query};
 use molap_datagen::{generate, CubeSpec};
 use molap_storage::{BufferPool, FileDisk};
 
@@ -114,7 +113,8 @@ fn main() {
         let expect = adt.consolidate(&query).expect("baseline query");
         let mut samples = Vec::new();
         for pipeline in [false, true] {
-            for &threads in &THREADS {
+            let threads_for: &[usize] = if pipeline { &THREADS } else { &[1] };
+            for &threads in threads_for {
                 for mode in ["cold", "warm"] {
                     let s = measure(&adt, &query, mode, pipeline, threads, runs);
                     println!(
@@ -268,10 +268,8 @@ fn run_once(
     if pipeline {
         let plan = PrefetchPlan::new(2, 16);
         consolidate_pipelined(adt, query, threads, plan).expect("pipelined run")
-    } else if threads == 1 {
-        adt.consolidate(query).expect("sequential run")
     } else {
-        consolidate_parallel(adt, query, threads).expect("parallel run")
+        adt.consolidate(query).expect("sequential run")
     }
 }
 
@@ -325,7 +323,7 @@ fn to_json(runs: usize, results: &[FormatResult], headline: f64) -> String {
     j.push_str("  ],\n");
     let _ = writeln!(
         j,
-        "  \"baseline\": \"cold sequential, pipeline off (pool cleared per run, PR 3 path)\","
+        "  \"baseline\": \"cold sequential, pipeline off (pool cleared per run, per-cell path)\","
     );
     let _ = writeln!(
         j,

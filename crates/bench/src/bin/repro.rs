@@ -381,8 +381,10 @@ fn ablation_chunks(ctx: &Ctx) {
     );
 }
 
+/// Cold per-cell sequential consolidation vs the executor at 2–16
+/// consumers fed by two prefetchers.
 fn ablation_parallel(ctx: &Ctx) {
-    use molap_core::consolidate_parallel;
+    use molap_core::{consolidate_pipelined, PrefetchPlan};
     println!("\n== Ablation: parallel chunk-scan consolidation (paper §6 future work) ==");
     let spec = ctx.ds1(100);
     let fx = ctx.harness.build(&spec, &PAPER_CHUNK_DIMS);
@@ -397,7 +399,8 @@ fn ablation_parallel(ctx: &Ctx) {
         for _ in 0..ctx.harness.runs.max(1) {
             fx.pool.clear().expect("cold");
             let t0 = std::time::Instant::now();
-            let res = consolidate_parallel(&fx.adt, &q, threads).expect("parallel");
+            let plan = PrefetchPlan::new(2, 16);
+            let res = consolidate_pipelined(&fx.adt, &q, threads, plan).expect("parallel");
             times.push(t0.elapsed().as_secs_f64() * 1e3);
             result = Some(res);
         }

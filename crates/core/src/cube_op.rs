@@ -16,7 +16,7 @@
 //! the cost.
 
 use crate::adt::OlapArray;
-use crate::consolidate::{make_cube, phase1, BuildResultBtrees};
+use crate::consolidate::{make_cube, phase1};
 use crate::error::{Error, Result};
 use crate::query::Query;
 use crate::result::{ConsolidationResult, ResultCube};
@@ -48,7 +48,7 @@ pub fn compute_cube(adt: &OlapArray, query: &Query) -> Result<Vec<CubeSlice>> {
             "compute_cube does not take selections; filter with consolidate() instead".into(),
         ));
     }
-    let (maps, _btrees) = phase1(adt, query, BuildResultBtrees::No)?;
+    let maps = phase1(adt, query)?;
     let g = maps.len();
     if g > MAX_CUBE_DIMS {
         return Err(Error::Query(format!(

@@ -1,7 +1,7 @@
 //! Per-chunk aggregation kernels — the array analogue of vectorized
 //! execution.
 //!
-//! The per-cell inner loops in `consolidate`/`select`/`parallel` pay a
+//! The per-cell inner loops of the `consolidate`/`select` oracle pay a
 //! full dispatch per valid cell: decode the cell's coordinates, walk the
 //! grouped dimensions, bounds-check an IndexToIndex lookup each, then
 //! re-derive the result cube's linear cell from the ranks. All of that
@@ -13,10 +13,11 @@
 //! loop is then `(offset, values)` → a few shifts/divides + table loads
 //! → [`ResultCube::add_linear`].
 //!
-//! Kernels are used by the prefetch-pipeline consumers; the classic
-//! per-cell paths are kept verbatim as the sequential oracle.
+//! The executor's consumers feed every chunk format through the one
+//! batch entry point, [`ChunkKernel::apply_batch`]; the per-cell paths
+//! stay as the oracle it is tested against.
 
-use molap_array::{Chunk, Shape};
+use molap_array::Shape;
 
 use crate::consolidate::GroupMap;
 use crate::result::ResultCube;
@@ -30,12 +31,11 @@ const SKIP: u64 = u64::MAX;
 const BATCH: usize = molap_array::diffseq::BLOCK;
 
 struct DimTable {
-    /// Within-chunk stride of the dimension in the offset encoding.
-    cell_stride: u64,
     /// Chunk extent along the dimension.
     extent: u64,
-    /// Precomputed `ceil(2^64 / cell_stride)` for strength-reduced
-    /// division in the batch path; `0` is the divisor-is-one sentinel
+    /// Precomputed `ceil(2^64 / cell_stride)`, where `cell_stride` is
+    /// the dimension's within-chunk stride in the offset encoding, for
+    /// strength-reduced division; `0` is the divisor-is-one sentinel
     /// (the true magic would overflow u64).
     stride_magic: u64,
     /// Same, for `extent`.
@@ -109,11 +109,9 @@ impl ChunkKernel {
                     }
                 })
                 .collect();
-            let cell_stride = shape.cell_stride(d);
             tables.push(DimTable {
-                cell_stride,
                 extent: extent as u64,
-                stride_magic: div_magic(cell_stride),
+                stride_magic: div_magic(shape.cell_stride(d)),
                 extent_magic: div_magic(extent as u64),
                 remap,
             });
@@ -121,33 +119,15 @@ impl ChunkKernel {
         ChunkKernel { tables }
     }
 
-    /// Aggregates every valid cell of `chunk` into `cube` through the
-    /// precomputed tables. Equivalent (bit-identical: [`crate::aggregate::AggState`]
-    /// folds are order-independent) to the per-cell rank path.
-    pub(crate) fn apply(&self, chunk: &Chunk, cube: &mut ResultCube) {
-        chunk.for_each_valid(|offset, values| {
-            let mut cell = 0u64;
-            for t in &self.tables {
-                let within = (offset as u64 / t.cell_stride) % t.extent;
-                let v = t.remap[within as usize];
-                if v == SKIP {
-                    return;
-                }
-                cell += v;
-            }
-            cube.add_linear(cell as usize, values);
-        });
-    }
-
-    /// Streaming entry point: aggregates a decoded `(offset, measures)`
-    /// batch without a materialized [`Chunk`]. `values` is row-major,
-    /// `offsets.len() * n_measures` long — exactly what
-    /// [`molap_array::diffseq::DiffSeqCursor::next_batch`] yields.
+    /// Aggregates a batch of the chunk's valid `(offset, measures)`
+    /// cells into `cube`. `values` is row-major, `offsets.len() *
+    /// n_measures` long — what [`molap_array::Chunk::for_each_batch`]
+    /// and [`molap_array::diffseq::DiffSeqCursor::next_batch`] yield.
     ///
     /// The remap phase runs column-wise over a fixed-width cell buffer
     /// with strength-reduced division and no per-cell branching:
     /// excluded cells saturate to [`SKIP`] and are dropped in the final
-    /// scatter. Bit-identical to [`ChunkKernel::apply`] (aggregate
+    /// scatter. Bit-identical to the per-cell rank path (aggregate
     /// folds are order-independent).
     pub(crate) fn apply_batch(
         &self,
@@ -184,186 +164,171 @@ impl ChunkKernel {
 mod tests {
     use super::*;
     use crate::adt::OlapArray;
-    use crate::consolidate::{make_cube, phase1, BuildResultBtrees};
+    use crate::aggregate::AggFunc;
+    use crate::consolidate::{make_cube, phase1};
     use crate::dimension::DimensionTable;
     use crate::query::{DimGrouping, Query};
     use molap_array::ChunkFormat;
     use molap_storage::{BufferPool, MemDisk};
     use std::sync::Arc;
 
-    fn build() -> OlapArray {
+    /// 12×16 cube with chunk 0 of the `[4, 3]` shape left empty; `[4,
+    /// 3]` pads the last chunk along `b`, `[12, 16]` is one chunk of
+    /// more than 64 valid cells (so a dense gather crosses a batch).
+    fn build(format: ChunkFormat, chunk_dims: &[u32]) -> OlapArray {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 2048));
         let dims = vec![
             DimensionTable::build(
                 "a",
-                &(0..10i64).collect::<Vec<_>>(),
-                vec![("h", (0..10i64).map(|k| k % 3).collect())],
+                &(0..12i64).collect::<Vec<_>>(),
+                vec![("h", (0..12i64).map(|k| k % 3).collect())],
             )
             .unwrap(),
             DimensionTable::build(
                 "b",
-                &(0..8i64).collect::<Vec<_>>(),
-                vec![("h", (0..8i64).map(|k| k / 4).collect())],
+                &(0..16i64).collect::<Vec<_>>(),
+                vec![("h", (0..16i64).map(|k| k / 4).collect())],
             )
             .unwrap(),
         ];
-        let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..10i64)
-            .flat_map(|x| (0..8i64).map(move |y| (vec![x, y], vec![x * 10 + y])))
-            .filter(|(k, _)| (k[0] + k[1]) % 2 == 0)
+        let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..12i64)
+            .flat_map(|x| (0..16i64).map(move |y| (vec![x, y], vec![x * 100 + y, 1])))
+            .filter(|(k, _)| !(k[0] < 4 && k[1] < 3) && (k[0] + k[1]) % 3 != 0)
             .collect();
-        // 4-wide chunks leave a padded last chunk along both dims.
-        OlapArray::build(pool, dims, &[4, 3], ChunkFormat::ChunkOffset, cells, 1).unwrap()
+        OlapArray::build(pool, dims, chunk_dims, format, cells, 2).unwrap()
     }
 
-    #[test]
-    fn kernel_matches_per_cell_aggregation() {
-        let adt = build();
-        for group_by in [
-            vec![DimGrouping::Level(0), DimGrouping::Level(0)],
-            vec![DimGrouping::Key, DimGrouping::Drop],
-            vec![DimGrouping::Drop, DimGrouping::Drop],
-        ] {
-            let q = Query::new(group_by);
-            let (maps, _) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
-            let shape = adt.array().shape();
-
-            // Per-cell reference path.
-            let mut expect = make_cube(&maps, adt.n_measures());
-            let mut ranks = vec![0u32; maps.len()];
-            adt.array()
-                .for_each_cell(|coords, values| {
-                    for (g, map) in maps.iter().enumerate() {
-                        ranks[g] = map.i2i[coords[map.dim] as usize];
-                    }
-                    expect.add(&ranks, values);
-                })
-                .unwrap();
-
-            // Kernel path, chunk by chunk.
-            let mut cube = make_cube(&maps, adt.n_measures());
-            for chunk_no in 0..shape.num_chunks() {
-                let chunk = adt.array().read_chunk(chunk_no).unwrap();
-                let kernel = ChunkKernel::new(shape, &maps, &cube, chunk_no, None);
-                kernel.apply(&chunk, &mut cube);
-            }
-            assert_eq!(
-                cube.into_result(&q.aggs).unwrap(),
-                expect.into_result(&q.aggs).unwrap(),
-                "{q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_path_matches_apply() {
-        // The streaming batch entry point (strength-reduced division,
-        // saturating SKIP accumulation) must agree with the per-cell
-        // `apply` on every grouping shape, including masked dimensions
-        // and ragged batch tails.
-        let adt = build();
+    /// Masks keeping the even within-chunk coordinates of dim 0.
+    fn even_mask(adt: &OlapArray) -> Vec<Vec<bool>> {
         let shape = adt.array().shape();
-        let mask: Vec<Vec<bool>> = (0..2)
+        (0..2)
             .map(|d| {
                 (0..shape.chunk_dims()[d] as usize)
                     .map(|w| d != 0 || w % 2 == 0)
                     .collect()
             })
-            .collect();
-        for group_by in [
-            vec![DimGrouping::Level(0), DimGrouping::Level(0)],
-            vec![DimGrouping::Key, DimGrouping::Drop],
-            vec![DimGrouping::Drop, DimGrouping::Drop],
-        ] {
-            for membership in [None, Some(&mask)] {
-                let q = Query::new(group_by.clone());
-                let (maps, _) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
-                let mut expect = make_cube(&maps, adt.n_measures());
-                let mut cube = make_cube(&maps, adt.n_measures());
-                for chunk_no in 0..shape.num_chunks() {
-                    let chunk = adt.array().read_chunk(chunk_no).unwrap();
-                    let kernel = ChunkKernel::new(
-                        shape,
-                        &maps,
-                        &cube,
-                        chunk_no,
-                        membership.map(|m| m.as_slice()),
-                    );
-                    kernel.apply(&chunk, &mut expect);
-                    // Re-batch the chunk's cells in uneven slices so
-                    // both the full-BATCH and tail paths are hit.
-                    let mut offsets = Vec::new();
-                    let mut values = Vec::new();
-                    chunk.for_each_valid(|off, vals| {
-                        offsets.push(off);
-                        values.extend_from_slice(vals);
-                    });
-                    let p = adt.n_measures();
-                    let mut at = 0;
-                    for step in [1usize, 3, BATCH, BATCH + 7] {
-                        if at >= offsets.len() {
-                            break;
-                        }
-                        let end = (at + step).min(offsets.len());
-                        kernel.apply_batch(
-                            &offsets[at..end],
-                            &values[at * p..end * p],
-                            p,
-                            &mut cube,
-                        );
-                        at = end;
-                    }
-                    if at < offsets.len() {
-                        kernel.apply_batch(&offsets[at..], &values[at * p..], p, &mut cube);
-                    }
-                }
-                assert_eq!(
-                    cube.into_result(&q.aggs).unwrap(),
-                    expect.into_result(&q.aggs).unwrap(),
-                    "{group_by:?} masked={}",
-                    membership.is_some()
-                );
-            }
-        }
+            .collect()
     }
 
-    #[test]
-    fn membership_mask_excludes_cells() {
-        let adt = build();
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let (maps, _) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
+    /// The per-cell reference: coordinates decoded cell by cell, ranks
+    /// looked up per grouped dimension, cells outside `mask` dropped.
+    fn per_cell(adt: &OlapArray, maps: &[GroupMap], mask: Option<&[Vec<bool>]>) -> ResultCube {
         let shape = adt.array().shape();
-
-        // Mask: keep only even within-chunk coordinates of dim 0.
-        let mask = |d: usize| -> Vec<bool> {
-            (0..shape.chunk_dims()[d] as usize)
-                .map(|w| d != 0 || w % 2 == 0)
-                .collect()
-        };
-        let membership: Vec<Vec<bool>> = (0..2).map(mask).collect();
-
-        let mut cube = make_cube(&maps, adt.n_measures());
-        for chunk_no in 0..shape.num_chunks() {
-            let chunk = adt.array().read_chunk(chunk_no).unwrap();
-            let kernel = ChunkKernel::new(shape, &maps, &cube, chunk_no, Some(&membership));
-            kernel.apply(&chunk, &mut cube);
-        }
-
-        let mut expect = make_cube(&maps, adt.n_measures());
+        let mut cube = make_cube(maps, adt.n_measures());
         let mut ranks = vec![0u32; maps.len()];
         adt.array()
             .for_each_cell(|coords, values| {
-                if !shape.within_chunk(0, coords[0]).is_multiple_of(2) {
+                let masked = mask.is_some_and(|m| {
+                    (0..2).any(|d| !m[d][shape.within_chunk(d, coords[d]) as usize])
+                });
+                if masked {
                     return;
                 }
                 for (g, map) in maps.iter().enumerate() {
                     ranks[g] = map.i2i[coords[map.dim] as usize];
                 }
-                expect.add(&ranks, values);
+                cube.add(&ranks, values);
             })
             .unwrap();
-        assert_eq!(
-            cube.into_result(&q.aggs).unwrap(),
-            expect.into_result(&q.aggs).unwrap()
-        );
+        cube
+    }
+
+    /// The kernel path: each chunk's `Chunk::for_each_batch` batches
+    /// re-sliced at `steps` (cycled) before they reach `apply_batch`.
+    fn kernel(
+        adt: &OlapArray,
+        maps: &[GroupMap],
+        mask: Option<&[Vec<bool>]>,
+        steps: &[usize],
+    ) -> ResultCube {
+        let shape = adt.array().shape();
+        let p = adt.n_measures();
+        let mut cube = make_cube(maps, p);
+        for chunk_no in 0..shape.num_chunks() {
+            let chunk = adt.array().read_chunk(chunk_no).unwrap();
+            let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, mask);
+            chunk.for_each_batch(|offsets, values| {
+                let mut at = 0;
+                for &step in steps.iter().cycle() {
+                    if at == offsets.len() {
+                        break;
+                    }
+                    let end = at.saturating_add(step).min(offsets.len());
+                    kernel.apply_batch(&offsets[at..end], &values[at * p..end * p], p, &mut cube);
+                    at = end;
+                }
+            });
+        }
+        cube
+    }
+
+    fn query(group_by: [DimGrouping; 2]) -> Query {
+        Query::new(group_by.to_vec()).with_aggs(vec![AggFunc::Sum, AggFunc::Max])
+    }
+
+    const GROUPINGS: [[DimGrouping; 2]; 3] = [
+        [DimGrouping::Level(0), DimGrouping::Level(0)],
+        [DimGrouping::Key, DimGrouping::Drop],
+        [DimGrouping::Drop, DimGrouping::Drop],
+    ];
+
+    #[test]
+    fn kernel_matches_per_cell_aggregation() {
+        for format in [ChunkFormat::ChunkOffset, ChunkFormat::Dense] {
+            for chunk_dims in [[4, 3], [12, 16]] {
+                let adt = build(format, &chunk_dims);
+                let array = adt.array();
+                // The fixture reaches the edge cases it is meant to.
+                if chunk_dims == [4, 3] {
+                    assert_eq!(array.read_chunk(0).unwrap().valid_cells(), 0);
+                } else {
+                    assert!(array.read_chunk(0).unwrap().valid_cells() > BATCH as u64);
+                }
+                for group_by in GROUPINGS {
+                    let q = query(group_by);
+                    let maps = phase1(&adt, &q).unwrap();
+                    let got = kernel(&adt, &maps, None, &[usize::MAX]);
+                    assert_eq!(
+                        got.into_result(&q.aggs).unwrap(),
+                        adt.consolidate(&q).unwrap(),
+                        "{format:?} {chunk_dims:?} {q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_batches_match_per_cell_oracle() {
+        // Batches re-sliced unevenly hit both the full-BATCH and the
+        // tail paths of `apply_batch`, with and without masks.
+        for format in [ChunkFormat::ChunkOffset, ChunkFormat::Dense] {
+            for chunk_dims in [[4, 3], [12, 16]] {
+                let adt = build(format, &chunk_dims);
+                let mask = even_mask(&adt);
+                for group_by in GROUPINGS {
+                    for membership in [None, Some(mask.as_slice())] {
+                        let q = query(group_by);
+                        let maps = phase1(&adt, &q).unwrap();
+                        let got = kernel(&adt, &maps, membership, &[1, 3, BATCH, BATCH + 7]);
+                        let expect = per_cell(&adt, &maps, membership);
+                        if membership.is_some() {
+                            // The mask really drops cells.
+                            let all = per_cell(&adt, &maps, None);
+                            assert!(
+                                expect.clone().into_result(&q.aggs).unwrap().total()
+                                    < all.into_result(&q.aggs).unwrap().total()
+                            );
+                        }
+                        assert_eq!(
+                            got.into_result(&q.aggs).unwrap(),
+                            expect.into_result(&q.aggs).unwrap(),
+                            "{format:?} {chunk_dims:?} {q:?} masked={}",
+                            membership.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -105,7 +105,7 @@ pub use cube_op::{compute_cube, CubeSlice};
 pub use dimension::DimensionTable;
 pub use error::{Error, Result};
 pub use molap_array::ChunkFormat;
-pub use parallel::{consolidate_auto, consolidate_parallel, consolidate_pipelined, PrefetchPlan};
+pub use parallel::{consolidate_auto, consolidate_pipelined, PrefetchPlan};
 pub use query::{AttrRef, DimGrouping, Pred, Query, Selection};
 pub use rescache::{shared_result_cache, CacheKey, ResultCache};
 pub use result::{ConsolidationResult, GroupedDim, ResultCube, Rollup, Row};

@@ -18,11 +18,11 @@ use molap_storage::BufferPool;
 
 use crate::adt::OlapArray;
 use crate::aggregate::{AggFunc, AggValue};
-use crate::consolidate::{consolidate_full_cube, BuildResultBtrees, GroupMap};
+use crate::consolidate::GroupMap;
 use crate::dimension::DimensionTable;
 use crate::error::{Error, Result};
+use crate::parallel::{consolidate_pipelined_cube, INLINE};
 use crate::query::{DimGrouping, Query};
-use crate::select::consolidate_with_selection_cube;
 
 impl OlapArray {
     /// Evaluates `query` and materializes the result as a new
@@ -41,11 +41,7 @@ impl OlapArray {
                 "AVG cannot be materialized as a cell measure; materialize SUM and COUNT".into(),
             ));
         }
-        let (maps, cube) = if query.has_selection() {
-            consolidate_with_selection_cube(self, query)?
-        } else {
-            consolidate_full_cube(self, query, BuildResultBtrees::Yes)?
-        };
+        let (maps, cube) = consolidate_pipelined_cube(self, query, 1, INLINE)?;
         if maps.is_empty() {
             return Err(Error::Query(
                 "a result array needs at least one grouped dimension".into(),
@@ -226,6 +222,16 @@ mod tests {
                 "group {:?}",
                 row.keys
             );
+        }
+        // The result's key B-trees map each group code to its result
+        // index (rank), the lookup §4.1's phase-1 result B-trees serve.
+        for d in 0..2 {
+            let codes = arr.dims()[d].keys();
+            assert!(codes.windows(2).all(|w| w[0] < w[1]));
+            for (rank, &code) in codes.iter().enumerate() {
+                let got = arr.dim_indexes(d).key_btree.get(code).unwrap();
+                assert_eq!(got, Some(rank as u64), "dim {d} code {code}");
+            }
         }
     }
 

@@ -1,45 +1,55 @@
-//! Parallel array consolidation — the paper's future work (§6):
-//! "we believe that the large OLAP data set sizes require parallel
-//! computing and we would like to investigate parallelization of OLAP
-//! data structures and key OLAP operations".
+//! The consolidation executor: the one production path for both the
+//! §4.1 full scan and the §4.2 selection.
 //!
-//! The array consolidation algorithm parallelizes naturally: chunks are
-//! independent, the IndexToIndex mapping is read-only, and aggregation
-//! into a *private* result cube per worker needs no synchronization —
-//! cubes merge associatively at the end ([`crate::ResultCube::merge`]).
-//! Workers share the buffer pool (frames are individually latched, the
-//! page table is sharded) and the decoded-chunk cache, so this is
-//! intra-operator parallelism on one store, not partitioned data.
+//! Phase 1 loads the group maps; the candidate chunks (every chunk, or
+//! the §4.2 qualifying chunks) are listed in chunk (= disk) order and
+//! handed to a [`ChunkPipeline`] pinned to one chunk snapshot. Consumers
+//! drain it, and each aggregates into a *private* result cube through
+//! per-chunk kernels; cubes merge associatively at the end
+//! ([`ResultCube::merge`]), so results are bit-identical to the
+//! per-cell oracle ([`OlapArray::consolidate`]) for any staffing.
 //!
-//! Selection queries (§4.2) parallelize the same way: the qualifying
-//! chunks are enumerated once in chunk-number order, the list is split
-//! into contiguous spans, and each worker runs the per-chunk
-//! probe-or-scan evaluation over its span. The probe cursor's
-//! monotonicity is per chunk, so chunk-granular partitioning preserves
-//! it.
+//! Staffing is a [`PrefetchPlan`]. With prefetchers, they read and
+//! decode ahead of the consumers through a bounded in-order queue —
+//! the paper's future work (§6) on parallel OLAP operations, as
+//! intra-operator parallelism over one shared pool and chunk cache.
+//! With zero prefetchers the executor runs inline: consumers read
+//! their chunks themselves, and a single consumer runs on the calling
+//! thread without spawning anything. Sequential consolidation is that
+//! one-worker case, not a separate path.
 
-use molap_array::{shared_version_table, ChunkPipeline};
+use molap_array::{shared_version_table, ChunkPayload, ChunkPipeline, PrefetchScratch};
 
 use crate::adt::OlapArray;
-use crate::consolidate::{full_scan_consumer, make_cube, phase1, BuildResultBtrees};
+use crate::consolidate::{make_cube, phase1, GroupMap};
 use crate::error::{Error, Result};
+use crate::kernel::ChunkKernel;
 use crate::query::Query;
 use crate::result::{ConsolidationResult, ResultCube};
-use crate::select::{build_probes, candidate_chunks, eval_chunk, selection_consumer, DimProbe};
+use crate::select::{build_probes, candidate_chunks, chunk_membership, probe_chunk, DimProbe};
 
-/// Fewer qualifying chunks than this and [`consolidate_auto`] stays
-/// sequential: thread spin-up would cost more than it saves.
+/// Fewer qualifying chunks than this and [`consolidate_auto`] runs
+/// inline: thread spin-up would cost more than it saves.
 const AUTO_MIN_CHUNKS_PER_WORKER: u64 = 4;
 
-/// The §4.2 context a pipelined selection consumer needs: the
-/// per-dimension probes plus the candidate chunks with their selected
-/// within-chunk indices.
+/// The inline plan: no prefetcher threads, consumers read for
+/// themselves.
+pub(crate) const INLINE: PrefetchPlan = PrefetchPlan {
+    prefetchers: 0,
+    depth: 1,
+    streaming: true,
+};
+
+/// The §4.2 context a selection consumer needs: the per-dimension
+/// probes plus the candidate chunks with their selected within-chunk
+/// indices.
 type SelectionPlan = (Vec<DimProbe>, Vec<(u64, Vec<usize>)>);
 
-/// How the prefetch pipeline is staffed and bounded.
+/// How the executor is staffed and bounded.
 #[derive(Clone, Copy, Debug)]
 pub struct PrefetchPlan {
-    /// Prefetcher (read + decode) threads feeding the consumers.
+    /// Prefetcher (read + decode) threads feeding the consumers; `0`
+    /// runs the executor inline.
     pub prefetchers: usize,
     /// Delivery-queue bound: decoded chunks held ahead of consumption.
     pub depth: usize,
@@ -52,7 +62,8 @@ pub struct PrefetchPlan {
 }
 
 impl PrefetchPlan {
-    /// A plan clamped to sane minimums.
+    /// A plan with at least one prefetcher and a window of at least one
+    /// chunk.
     pub fn new(prefetchers: usize, depth: usize) -> Self {
         PrefetchPlan {
             prefetchers: prefetchers.max(1),
@@ -77,33 +88,32 @@ impl PrefetchPlan {
     }
 }
 
-/// Like [`OlapArray::consolidate`], but with the chunk read+decode work
-/// moved off the consumers onto a prefetch pipeline: `plan.prefetchers`
-/// producer threads fault pages (multi-page chunks via one vectored
-/// bypass read), decode, and publish through the shared chunk cache and
-/// a bounded in-order delivery queue; `workers` consumers drain it and
-/// aggregate with per-chunk kernels. Results are bit-identical to the
-/// sequential paths for any worker/prefetcher count.
+/// Like [`OlapArray::consolidate`], but run by the executor with
+/// `workers` consumers (at least one) staffed by `plan`. Results are
+/// bit-identical to the per-cell oracle for any worker/prefetcher
+/// count.
 pub fn consolidate_pipelined(
     adt: &OlapArray,
     query: &Query,
     workers: usize,
     plan: PrefetchPlan,
 ) -> Result<ConsolidationResult> {
-    consolidate_pipelined_cube(adt, query, workers, plan)?.into_result(&query.aggs)
+    consolidate_pipelined_cube(adt, query, workers, plan)?
+        .1
+        .into_result(&query.aggs)
 }
 
-/// [`consolidate_pipelined`] stopping at the positional result cube —
-/// the form the result-cube cache stores.
+/// The executor: [`consolidate_pipelined`] stopping at the group maps
+/// and the positional result cube — the forms the result-cube cache
+/// and result materialization need.
 pub(crate) fn consolidate_pipelined_cube(
     adt: &OlapArray,
     query: &Query,
     workers: usize,
     plan: PrefetchPlan,
-) -> Result<ResultCube> {
+) -> Result<(Vec<GroupMap>, ResultCube)> {
     query.validate(adt.dims(), adt.n_measures())?;
-    let workers = workers.max(1);
-    let (maps, _result_btrees) = phase1(adt, query, BuildResultBtrees::No)?;
+    let maps = phase1(adt, query)?;
     let shape = adt.array().shape();
 
     // Candidate chunk list, in chunk (= disk) order. `selection` is
@@ -131,31 +141,46 @@ pub(crate) fn consolidate_pipelined_cube(
     let pipe = ChunkPipeline::new(adt.pool().clone(), chunk_nos, plan.depth)
         .with_snapshot(snap)
         .with_streaming(plan.streaming);
+    let inline = plan.prefetchers == 0;
+    let run_consumer = || {
+        let mut scratch = PrefetchScratch::default();
+        let next = || {
+            if inline {
+                pipe.read_next(adt.array(), &mut scratch)
+            } else {
+                pipe.next_payload()
+            }
+        };
+        let cube = consume(adt, &maps, selection.as_ref(), next);
+        if cube.is_err() {
+            // Stop the producers and the peer consumers early.
+            pipe.shutdown();
+        }
+        cube
+    };
     let cubes = crossbeam::thread::scope(|scope| {
         for _ in 0..plan.prefetchers {
             scope.spawn(|_| pipe.run_worker(adt.array()));
         }
-        let consumers: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| match &selection {
-                    Some((probes, candidates)) => {
-                        selection_consumer(adt, &maps, probes, candidates, &pipe)
-                    }
-                    None => full_scan_consumer(adt, &maps, &pipe),
-                })
-            })
+        // Inline, one consumer runs on the calling thread. With
+        // prefetchers every consumer is spawned, so a panicking one
+        // still reaches the shutdown below that wakes parked producers.
+        let spawned: Vec<_> = (usize::from(inline)..workers.max(1))
+            .map(|_| scope.spawn(|_| run_consumer()))
             .collect();
-        let cubes = consumers
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(Error::Internal("pipeline consumer panicked".into())))
-            })
-            .collect::<Result<Vec<_>>>();
-        // Wake any parked prefetchers (error path, or producers waiting
-        // on delivery-queue space) so the scope can join them.
+        let mut cubes = if inline {
+            vec![run_consumer()]
+        } else {
+            Vec::new()
+        };
+        cubes.extend(spawned.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(Error::Internal("pipeline consumer panicked".into())))
+        }));
+        // Wake any parked prefetchers (producers waiting on
+        // delivery-queue space) so the scope can join them.
         pipe.shutdown();
-        cubes
+        cubes.into_iter().collect::<Result<Vec<_>>>()
     })
     .map_err(|_| Error::Internal("pipeline scope panicked".into()))??;
 
@@ -166,169 +191,91 @@ pub(crate) fn consolidate_pipelined_cube(
     for cube in iter {
         total.merge(&cube)?;
     }
-    Ok(total)
+    Ok((maps, total))
 }
 
-/// Like [`OlapArray::consolidate`], but evaluating chunks with
-/// `threads` workers. Supports both the §4.1 (no selections) and §4.2
-/// (with selections) algorithms; results are identical to the
-/// sequential paths for any thread count.
-pub fn consolidate_parallel(
+/// One consumer: drains `next` and aggregates every chunk into a
+/// private cube. Full-scan chunks, and §4.2 chunks whose cross-product
+/// outnumbers their valid cells (the scan direction, with the
+/// membership masks folded into the kernel's remap tables), stream
+/// through [`ChunkKernel::apply_batch`]; the other §4.2 chunks take the
+/// resumed binary probe.
+fn consume(
     adt: &OlapArray,
-    query: &Query,
-    threads: usize,
-) -> Result<ConsolidationResult> {
-    query.validate(adt.dims(), adt.n_measures())?;
-    let threads = threads.max(1);
-    let (maps, _result_btrees) = phase1(adt, query, BuildResultBtrees::No)?;
-
-    let cubes = if query.has_selection() {
-        let (probes, any_empty) = build_probes(adt, query)?;
-        if any_empty {
-            Vec::new()
-        } else {
-            let candidates = candidate_chunks(adt.array().shape(), &probes);
-            scan_selected_chunks(adt, &maps, &probes, &candidates, threads)?
+    maps: &[GroupMap],
+    selection: Option<&SelectionPlan>,
+    mut next: impl FnMut() -> Option<molap_array::Result<(u64, ChunkPayload)>>,
+) -> Result<ResultCube> {
+    let shape = adt.array().shape();
+    let limit = shape.chunk_cells() as u32;
+    let p = adt.n_measures();
+    let mut cube = make_cube(maps, p);
+    let mut ranks = vec![0u32; maps.len()];
+    while let Some(item) = next() {
+        let (chunk_no, payload) = item?;
+        let valid = payload.valid_cells(limit)?;
+        if valid == 0 {
+            continue;
         }
-    } else {
-        scan_all_chunks(adt, &maps, threads)?
-    };
-
-    let mut iter = cubes.into_iter();
-    let mut total = iter
-        .next()
-        .unwrap_or_else(|| make_cube(&maps, adt.n_measures()));
-    for cube in iter {
-        total.merge(&cube)?;
+        let membership = match selection {
+            None => None,
+            Some((probes, candidates)) => {
+                // Candidates ascend in chunk number (odometer order), so
+                // the chunk's selection cursor is a binary search away.
+                let ci = candidates.binary_search_by_key(&chunk_no, |c| c.0).ok();
+                let Some((_, chunk_sel)) = ci.and_then(|i| candidates.get(i)) else {
+                    return Err(Error::Internal(
+                        "pipelined chunk missing from candidates".into(),
+                    ));
+                };
+                let cross: u64 = (0..probes.len())
+                    .map(|d| probes[d].groups[chunk_sel[d]].indices.len() as u64)
+                    .product();
+                if cross <= valid {
+                    // The probe direction needs random access by offset.
+                    let chunk = payload.into_chunk(limit)?;
+                    probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
+                    continue;
+                }
+                Some(chunk_membership(shape, probes, chunk_sel))
+            }
+        };
+        let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, membership.as_deref());
+        payload.for_each_batch(limit, |offsets, values| {
+            kernel.apply_batch(offsets, values, p, &mut cube)
+        })?;
     }
-    total.into_result(&query.aggs)
+    Ok(cube)
 }
 
 /// Chooses a worker count and a prefetch plan from the machine's
-/// parallelism and the size of the job, then dispatches: the engine's
-/// default consolidation entry point. Answers come from the pool's
-/// result-cube cache when possible — an exact cached cube, or a finer
-/// one coarsened by pure in-memory re-aggregation (see
+/// parallelism and the size of the job, then runs the executor: the
+/// engine's default consolidation entry point. Answers come from the
+/// pool's result-cube cache when possible — an exact cached cube, or a
+/// finer one coarsened by pure in-memory re-aggregation (see
 /// [`crate::rescache`]); both are bit-identical to computing directly.
-/// On a true miss, small arrays run the plain sequential algorithms
-/// (pipeline spin-up would cost more than it saves); everything else
-/// goes through [`consolidate_pipelined`] — even with a single
-/// consumer the pipeline's vectored bypass reads and per-chunk kernels
-/// beat the inline read/decode/aggregate loop.
+/// On a true miss, small arrays run inline (pipeline spin-up would
+/// cost more than it saves); everything else gets prefetchers and one
+/// consumer per few chunks, up to the CPU count.
 pub fn consolidate_auto(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
     query.validate(adt.dims(), adt.n_measures())?;
     crate::rescache::consolidate_cached(adt, query, || consolidate_cube_auto(adt, query))
 }
 
-/// The compute path behind [`consolidate_auto`]: pick sequential or
-/// pipelined by job size and stop at the positional cube.
+/// The compute path behind [`consolidate_auto`]: staff the executor by
+/// job size and stop at the positional cube.
 fn consolidate_cube_auto(adt: &OlapArray, query: &Query) -> Result<ResultCube> {
     let num_chunks = adt.array().shape().num_chunks();
-    if num_chunks < 2 * AUTO_MIN_CHUNKS_PER_WORKER {
-        let (_maps, cube) = if query.has_selection() {
-            crate::select::consolidate_with_selection_cube_opt(adt, query, BuildResultBtrees::No)?
-        } else {
-            crate::consolidate::consolidate_full_cube(adt, query, BuildResultBtrees::No)?
-        };
-        return Ok(cube);
-    }
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let workers = cpus.min(num_chunks / AUTO_MIN_CHUNKS_PER_WORKER).max(1);
-    consolidate_pipelined_cube(adt, query, workers as usize, PrefetchPlan::auto(num_chunks))
-}
-
-/// §4.1 phase 2 with `threads` workers: contiguous chunk spans per
-/// worker (chunk order = disk order, so each worker reads sequentially
-/// within its span), private cubes.
-fn scan_all_chunks(
-    adt: &OlapArray,
-    maps: &[crate::consolidate::GroupMap],
-    threads: usize,
-) -> Result<Vec<ResultCube>> {
-    let num_chunks = adt.array().shape().num_chunks();
-    let span = num_chunks.div_ceil(threads as u64).max(1);
-    run_workers(threads, |w| {
-        let lo = w as u64 * span;
-        let hi = ((w as u64 + 1) * span).min(num_chunks);
-        if lo >= hi {
-            return None;
-        }
-        Some(move || -> Result<ResultCube> {
-            let mut cube = make_cube(maps, adt.n_measures());
-            let shape = adt.array().shape();
-            let mut coords = vec![0u32; shape.n_dims()];
-            let mut ranks = vec![0u32; maps.len()];
-            for chunk_no in lo..hi {
-                let chunk = adt.array().read_chunk(chunk_no)?;
-                chunk.for_each_valid(|offset, values| {
-                    shape.decode(chunk_no, offset, &mut coords);
-                    for (g, map) in maps.iter().enumerate() {
-                        ranks[g] = map.i2i[coords[map.dim] as usize];
-                    }
-                    cube.add(&ranks, values);
-                });
-            }
-            Ok(cube)
-        })
-    })
-}
-
-/// §4.2 step 2 with `threads` workers: the qualifying-chunk list is
-/// split into contiguous spans (preserving its ascending chunk-number
-/// order within each worker), private cubes.
-fn scan_selected_chunks(
-    adt: &OlapArray,
-    maps: &[crate::consolidate::GroupMap],
-    probes: &[DimProbe],
-    candidates: &[(u64, Vec<usize>)],
-    threads: usize,
-) -> Result<Vec<ResultCube>> {
-    let span = candidates.len().div_ceil(threads).max(1);
-    run_workers(threads, |w| {
-        let lo = w * span;
-        let hi = ((w + 1) * span).min(candidates.len());
-        if lo >= hi {
-            return None;
-        }
-        Some(move || -> Result<ResultCube> {
-            let mut cube = make_cube(maps, adt.n_measures());
-            let mut ranks = vec![0u32; maps.len()];
-            for (chunk_no, chunk_sel) in &candidates[lo..hi] {
-                let chunk = adt.array().read_chunk(*chunk_no)?;
-                eval_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
-            }
-            Ok(cube)
-        })
-    })
-}
-
-/// Spawns up to `threads` scoped workers (the factory may decline a
-/// slot by returning `None`) and collects their cubes.
-fn run_workers<'e, F, W>(threads: usize, mut make_worker: F) -> Result<Vec<ResultCube>>
-where
-    F: FnMut(usize) -> Option<W>,
-    W: FnOnce() -> Result<ResultCube> + Send + 'e,
-{
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..threads {
-            let Some(work) = make_worker(w) else {
-                break;
-            };
-            handles.push(scope.spawn(move |_| work()));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(Error::Internal("consolidation worker panicked".into()))
-                })
-            })
-            .collect::<Result<Vec<_>>>()
-    })
-    .map_err(|_| Error::Internal("parallel consolidation scope panicked".into()))?
+    let (workers, plan) = if num_chunks < 2 * AUTO_MIN_CHUNKS_PER_WORKER {
+        (1, INLINE)
+    } else {
+        let cpus = std::thread::available_parallelism()
+            .map(|n| n.get() as u64)
+            .unwrap_or(1);
+        let workers = cpus.min(num_chunks / AUTO_MIN_CHUNKS_PER_WORKER).max(1);
+        (workers as usize, PrefetchPlan::auto(num_chunks))
+    };
+    Ok(consolidate_pipelined_cube(adt, query, workers, plan)?.1)
 }
 
 #[cfg(test)]
@@ -341,10 +288,11 @@ mod tests {
     use std::sync::Arc;
 
     fn build(cells: usize) -> OlapArray {
-        build_fmt(cells, ChunkFormat::ChunkOffset)
+        build_with(cells, ChunkFormat::ChunkOffset, &[7, 6])
     }
 
-    fn build_fmt(cells: usize, format: ChunkFormat) -> OlapArray {
+    /// A 30×20 cube: `[7, 6]` chunks make 20 of them, `[15, 20]` two.
+    fn build_with(cells: usize, format: ChunkFormat, chunk_dims: &[u32]) -> OlapArray {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 4096));
         let dims = vec![
             DimensionTable::build(
@@ -365,126 +313,88 @@ mod tests {
             .filter(|(k, _)| (k[0] * 13 + k[1] * 7) % 3 != 0)
             .take(cells)
             .collect();
-        OlapArray::build(pool, dims, &[7, 6], format, all, 1).unwrap()
+        OlapArray::build(pool, dims, chunk_dims, format, all, 1).unwrap()
     }
 
-    #[test]
-    fn parallel_equals_sequential_for_all_thread_counts() {
-        let adt = build(300);
-        for group_by in [
-            vec![DimGrouping::Level(0), DimGrouping::Level(0)],
-            vec![DimGrouping::Key, DimGrouping::Drop],
-            vec![DimGrouping::Drop, DimGrouping::Drop],
-        ] {
-            let q = Query::new(group_by);
-            let sequential = adt.consolidate(&q).unwrap();
-            for threads in [1, 2, 3, 8, 64] {
-                let parallel = consolidate_parallel(&adt, &q, threads).unwrap();
-                assert_eq!(parallel, sequential, "{threads} threads, {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn more_workers_than_chunks_is_fine() {
-        let adt = build(10);
-        let q = Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]);
-        let res = consolidate_parallel(&adt, &q, 1000).unwrap();
-        assert_eq!(res, adt.consolidate(&q).unwrap());
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let adt = build(50);
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        assert_eq!(
-            consolidate_parallel(&adt, &q, 0).unwrap(),
-            adt.consolidate(&q).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_selection_equals_sequential_for_all_thread_counts() {
-        let adt = build(300);
+    /// Every grouping shape crossed with no selection, a broad
+    /// selection (scan direction), a conjunction across both
+    /// dimensions, narrow key probes (probe direction) and an empty
+    /// selection.
+    fn mixed_queries() -> Vec<Query> {
         let selections: Vec<Vec<(usize, Selection)>> = vec![
-            // One-dimension attribute selection.
-            vec![(0, Selection::eq(AttrRef::Level(0), 1))],
-            // Conjunction across both dimensions.
+            vec![],
+            vec![(0, Selection::in_list(AttrRef::Level(0), vec![0, 2]))],
             vec![
                 (0, Selection::in_list(AttrRef::Level(0), vec![0, 2])),
                 (1, Selection::in_list(AttrRef::Level(0), vec![1, 3])),
             ],
-            // Narrow key probes.
             vec![
                 (0, Selection::in_list(AttrRef::Key, vec![3, 17, 29])),
                 (1, Selection::eq(AttrRef::Key, 5)),
             ],
-            // Empty result.
             vec![(0, Selection::eq(AttrRef::Level(0), 99))],
         ];
-        for sels in selections {
+        let mut queries = Vec::new();
+        for sels in &selections {
             for group_by in [
                 vec![DimGrouping::Level(0), DimGrouping::Level(0)],
                 vec![DimGrouping::Key, DimGrouping::Drop],
                 vec![DimGrouping::Drop, DimGrouping::Drop],
             ] {
                 let mut q = Query::new(group_by);
-                for (d, sel) in &sels {
+                for (d, sel) in sels {
                     q = q.with_selection(*d, sel.clone());
                 }
-                let sequential = adt.consolidate(&q).unwrap();
-                for threads in [1, 2, 3, 8, 64] {
-                    let parallel = consolidate_parallel(&adt, &q, threads).unwrap();
-                    assert_eq!(parallel, sequential, "{threads} threads, {q:?}");
-                }
+                queries.push(q);
             }
         }
+        queries
     }
 
     #[test]
     fn pipelined_equals_sequential_for_mixed_queries() {
-        let adt = build(300);
-        let queries = vec![
-            // Full scans.
-            Query::new(vec![DimGrouping::Level(0), DimGrouping::Level(0)]),
-            Query::new(vec![DimGrouping::Key, DimGrouping::Drop]),
-            Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]),
-            // Broad selection (scan direction) over a grouped query.
-            Query::new(vec![DimGrouping::Level(0), DimGrouping::Level(0)])
-                .with_selection(0, Selection::in_list(AttrRef::Level(0), vec![0, 2])),
-            // Narrow key probes (probe direction).
-            Query::new(vec![DimGrouping::Key, DimGrouping::Drop])
-                .with_selection(0, Selection::in_list(AttrRef::Key, vec![3, 17, 29]))
-                .with_selection(1, Selection::eq(AttrRef::Key, 5)),
-            // Empty selection.
-            Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop])
-                .with_selection(0, Selection::eq(AttrRef::Level(0), 99)),
+        // Worker counts: 0 clamps to one, more workers than the 20
+        // chunks, inline and prefetched staffing alike.
+        let staffing = [
+            (0, PrefetchPlan::new(2, 4)),
+            (0, INLINE),
+            (1, INLINE),
+            (3, INLINE),
+            (1, PrefetchPlan::new(1, 1)),
+            (2, PrefetchPlan::new(2, 4)),
+            (3, PrefetchPlan::new(2, 2)),
+            (8, PrefetchPlan::new(3, 16)),
+            (64, PrefetchPlan::new(1, 4)),
         ];
-        for q in &queries {
-            let sequential = adt.consolidate(q).unwrap();
-            for (workers, plan) in [
-                (1, PrefetchPlan::new(1, 1)),
-                (1, PrefetchPlan::new(2, 4)),
-                (3, PrefetchPlan::new(2, 2)),
-                (4, PrefetchPlan::new(3, 16)),
-            ] {
-                let piped = consolidate_pipelined(&adt, q, workers, plan).unwrap();
-                assert_eq!(piped, sequential, "{workers} workers, {plan:?}, {q:?}");
+        for format in ChunkFormat::ALL {
+            // Dense-ish and sparse (mostly empty chunks).
+            for cells in [300, 10] {
+                let adt = build_with(cells, format, &[7, 6]);
+                for q in &mixed_queries() {
+                    let sequential = adt.consolidate(q).unwrap();
+                    for (workers, plan) in staffing {
+                        let piped = consolidate_pipelined(&adt, q, workers, plan).unwrap();
+                        assert_eq!(
+                            piped, sequential,
+                            "{format:?} {cells} cells, {workers} workers, {plan:?}, {q:?}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn diffseq_streaming_matches_sequential_oracle() {
-        // The tentpole acceptance oracle: on a DiffSeq array, pipelined
-        // streaming consolidation (no chunk materialization on the scan
-        // path) must be bit-identical to the sequential `consolidate`,
-        // across all five aggregates, both §4.2 directions, and the
+        // On a DiffSeq array, streaming consolidation (no chunk
+        // materialization on the scan path) must be bit-identical to
+        // the sequential `consolidate`, across all five aggregates,
+        // both §4.2 directions, inline and prefetched, with the
         // materialize-then-scan pipeline as a third witness.
         use crate::aggregate::AggFunc;
-        let adt = build_fmt(300, ChunkFormat::DiffSeq);
+        let adt = build_with(300, ChunkFormat::DiffSeq, &[7, 6]);
         let queries = vec![
-            // Full scans (streaming full_scan_consumer).
+            // Full scans (no selection).
             Query::new(vec![DimGrouping::Level(0), DimGrouping::Level(0)]),
             Query::new(vec![DimGrouping::Key, DimGrouping::Drop]),
             Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]),
@@ -510,6 +420,7 @@ mod tests {
                 let q = base.clone().with_aggs(vec![agg]);
                 let sequential = adt.consolidate(&q).unwrap();
                 for (workers, plan) in [
+                    (1, INLINE),
                     (1, PrefetchPlan::new(1, 1)),
                     (2, PrefetchPlan::new(2, 4)),
                     (4, PrefetchPlan::new(3, 16)),
@@ -542,32 +453,50 @@ mod tests {
         assert_eq!(d.prefetch_issued, num_chunks);
         assert_eq!(d.prefetch_hits + d.prefetch_wasted, d.prefetch_issued);
         assert!(d.prefetch_queue_peak >= 1);
+
+        // Inline runs read the same chunks themselves: no prefetches.
+        let misses = d.chunk_cache_misses;
+        pool.clear().unwrap();
+        let before = pool.stats().snapshot();
+        assert_eq!(
+            consolidate_pipelined(&adt, &q, 1, INLINE).unwrap(),
+            sequential
+        );
+        let d = pool.stats().snapshot().since(&before);
+        assert_eq!(d.prefetch_issued, 0);
+        assert_eq!(d.chunk_cache_misses, misses);
     }
 
     #[test]
     fn auto_matches_sequential() {
-        let adt = build(300);
-        let plain = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let selected = Query::new(vec![DimGrouping::Key, DimGrouping::Drop])
-            .with_selection(1, Selection::in_list(AttrRef::Level(0), vec![0, 2]));
-        for q in [plain, selected] {
-            let first = consolidate_auto(&adt, &q).unwrap();
-            assert_eq!(first, adt.consolidate(&q).unwrap(), "{q:?}");
-            // The repeat answers from the result-cube cache,
-            // bit-identically.
-            let before = adt.pool().stats().snapshot();
-            assert_eq!(consolidate_auto(&adt, &q).unwrap(), first, "{q:?}");
-            let d = adt.pool().stats().snapshot().since(&before);
-            assert_eq!(d.result_cache_hits, 1, "{q:?}");
+        // `[7, 6]` is staffed with prefetchers, `[15, 20]` (2 chunks)
+        // runs inline.
+        for chunk_dims in [[7, 6], [15, 20]] {
+            let adt = build_with(300, ChunkFormat::ChunkOffset, &chunk_dims);
+            let plain = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
+            let selected = Query::new(vec![DimGrouping::Key, DimGrouping::Drop])
+                .with_selection(1, Selection::in_list(AttrRef::Level(0), vec![0, 2]));
+            for q in [plain, selected] {
+                let first = consolidate_auto(&adt, &q).unwrap();
+                assert_eq!(first, adt.consolidate(&q).unwrap(), "{q:?}");
+                // The repeat answers from the result-cube cache,
+                // bit-identically.
+                let before = adt.pool().stats().snapshot();
+                assert_eq!(consolidate_auto(&adt, &q).unwrap(), first, "{q:?}");
+                let d = adt.pool().stats().snapshot().since(&before);
+                assert_eq!(d.result_cache_hits, 1, "{q:?}");
+            }
+            // Invalid queries are rejected up front.
+            assert!(consolidate_auto(&adt, &Query::new(vec![DimGrouping::Drop])).is_err());
         }
-        // Invalid queries are rejected up front.
-        assert!(consolidate_auto(&adt, &Query::new(vec![DimGrouping::Drop])).is_err());
     }
 
     #[test]
     fn invalid_queries_are_rejected() {
         let adt = build(50);
         let q = Query::new(vec![DimGrouping::Drop]); // wrong arity
-        assert!(consolidate_parallel(&adt, &q, 2).is_err());
+        for plan in [INLINE, PrefetchPlan::new(2, 4)] {
+            assert!(consolidate_pipelined(&adt, &q, 2, plan).is_err());
+        }
     }
 }

@@ -1005,13 +1005,9 @@ mod tests {
     }
 
     fn cube_for(adt: &OlapArray, q: &Query) -> ResultCube {
-        let (_, cube) = crate::consolidate::consolidate_full_cube(
-            adt,
-            q,
-            crate::consolidate::BuildResultBtrees::No,
-        )
-        .unwrap();
-        cube
+        crate::parallel::consolidate_pipelined_cube(adt, q, 1, crate::parallel::INLINE)
+            .unwrap()
+            .1
     }
 
     #[test]

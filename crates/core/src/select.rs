@@ -25,7 +25,7 @@
 use molap_array::{Chunk, Shape};
 
 use crate::adt::OlapArray;
-use crate::consolidate::{make_cube, phase1, BuildResultBtrees, GroupMap};
+use crate::consolidate::{make_cube, phase1, GroupMap};
 use crate::error::Result;
 use crate::query::{AttrRef, Pred, Query};
 use crate::result::ConsolidationResult;
@@ -200,15 +200,6 @@ fn make_probe(adt: &OlapArray, d: usize, list: Option<Vec<u32>>) -> DimProbe {
     DimProbe { groups }
 }
 
-/// The §4.2 algorithm.
-pub(crate) fn consolidate_with_selection(
-    adt: &OlapArray,
-    query: &Query,
-) -> Result<ConsolidationResult> {
-    let (_, cube) = consolidate_with_selection_cube_opt(adt, query, BuildResultBtrees::No)?;
-    cube.into_result(&query.aggs)
-}
-
 /// Step 1 of §4.2 for every dimension: the final index lists, split by
 /// chunk coordinate. The flag is true when some dimension selected
 /// nothing (the whole query result is empty — no chunk qualifies).
@@ -269,7 +260,7 @@ pub(crate) fn candidate_chunks(shape: &Shape, probes: &[DimProbe]) -> Vec<(u64, 
 /// count, probing every cross-product element costs more than scanning
 /// the valid cells and testing membership per dimension.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_chunk(
+fn eval_chunk(
     adt: &OlapArray,
     chunk: &Chunk,
     probes: &[DimProbe],
@@ -292,21 +283,13 @@ pub(crate) fn eval_chunk(
     }
 }
 
-/// §4.2 core returning the positional result cube.
-pub(crate) fn consolidate_with_selection_cube(
+/// The §4.2 algorithm: the per-cell reference the executor
+/// ([`crate::parallel`]) is tested against.
+pub(crate) fn consolidate_with_selection(
     adt: &OlapArray,
     query: &Query,
-) -> Result<(Vec<GroupMap>, crate::result::ResultCube)> {
-    consolidate_with_selection_cube_opt(adt, query, BuildResultBtrees::Yes)
-}
-
-/// §4.2 core with the result-B-tree opt-out exposed.
-pub(crate) fn consolidate_with_selection_cube_opt(
-    adt: &OlapArray,
-    query: &Query,
-    build: BuildResultBtrees,
-) -> Result<(Vec<GroupMap>, crate::result::ResultCube)> {
-    let (maps, _result_btrees) = phase1(adt, query, build)?;
+) -> Result<ConsolidationResult> {
+    let maps = phase1(adt, query)?;
     let mut cube = make_cube(&maps, adt.n_measures());
     let shape = adt.array().shape();
 
@@ -323,8 +306,7 @@ pub(crate) fn consolidate_with_selection_cube_opt(
             );
         }
     }
-
-    Ok((maps, cube))
+    cube.into_result(&query.aggs)
 }
 
 /// The §4.2 scan-direction membership masks for one qualifying chunk:
@@ -346,109 +328,10 @@ pub(crate) fn chunk_membership(
         .collect()
 }
 
-/// Prefetch-pipeline consumer for the §4.2 selection path: drains
-/// decoded qualifying chunks from `pipe` and evaluates each in the
-/// adaptive direction — scan-direction chunks go through a per-chunk
-/// [`ChunkKernel`](crate::kernel::ChunkKernel) with the membership
-/// masks folded into its remap tables, probe-direction chunks through
-/// the §4.2 resumed binary probe.
-pub(crate) fn selection_consumer(
-    adt: &OlapArray,
-    maps: &[GroupMap],
-    probes: &[DimProbe],
-    candidates: &[(u64, Vec<usize>)],
-    pipe: &molap_array::ChunkPipeline,
-) -> Result<crate::result::ResultCube> {
-    use crate::kernel::ChunkKernel;
-    use molap_array::diffseq::DiffSeqCursor;
-    use molap_array::ChunkPayload;
-    let shape = adt.array().shape();
-    let limit = shape.chunk_cells() as u32;
-    let mut cube = make_cube(maps, adt.n_measures());
-    let mut ranks = vec![0u32; maps.len()];
-    while let Some(item) = pipe.next_payload() {
-        let (chunk_no, payload) = match item {
-            Ok(delivered) => delivered,
-            Err(e) => {
-                pipe.shutdown();
-                return Err(e.into());
-            }
-        };
-        // Candidates ascend in chunk number (odometer order), so the
-        // delivered chunk's selection cursor is a binary search away.
-        let ci = candidates.binary_search_by_key(&chunk_no, |c| c.0).ok();
-        let Some((_, chunk_sel)) = ci.and_then(|i| candidates.get(i)) else {
-            return Err(crate::error::Error::Internal(
-                "pipelined chunk missing from candidates".into(),
-            ));
-        };
-        let cross: u64 = (0..probes.len())
-            .map(|d| probes[d].groups[chunk_sel[d]].indices.len() as u64)
-            .product();
-        match payload {
-            ChunkPayload::Chunk(chunk) => {
-                if chunk.valid_cells() == 0 {
-                    continue;
-                }
-                if cross > chunk.valid_cells() {
-                    let membership = chunk_membership(shape, probes, chunk_sel);
-                    let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, Some(&membership));
-                    kernel.apply(&chunk, &mut cube);
-                } else {
-                    probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
-                }
-            }
-            ChunkPayload::DiffSeq(bytes) => {
-                let mut cursor = match DiffSeqCursor::new(&bytes, limit) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        pipe.shutdown();
-                        return Err(e.into());
-                    }
-                };
-                if cursor.is_empty() {
-                    continue;
-                }
-                if cross > cursor.len() as u64 {
-                    // Scan direction streams: membership masks fold
-                    // into the kernel tables, batches feed it directly.
-                    let p = cursor.n_measures();
-                    let membership = chunk_membership(shape, probes, chunk_sel);
-                    let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, Some(&membership));
-                    loop {
-                        match cursor.next_batch() {
-                            Ok(Some((offsets, values))) => {
-                                kernel.apply_batch(offsets, values, p, &mut cube);
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                pipe.shutdown();
-                                return Err(e.into());
-                            }
-                        }
-                    }
-                } else {
-                    // Probe direction needs random access by offset —
-                    // one of the paths that genuinely wants a Chunk.
-                    let chunk = match ChunkPayload::DiffSeq(bytes).into_chunk(limit) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            pipe.shutdown();
-                            return Err(e.into());
-                        }
-                    };
-                    probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
-                }
-            }
-        }
-    }
-    Ok(cube)
-}
-
 /// Probes every cross-product element falling in `chunk`, aggregating
 /// hits into `cube`.
 #[allow(clippy::too_many_arguments)]
-fn probe_chunk(
+pub(crate) fn probe_chunk(
     adt: &OlapArray,
     chunk: &Chunk,
     probes: &[DimProbe],

@@ -1,5 +1,5 @@
 //! Multi-threaded stress over one shared [`Database`]: concurrent full,
-//! selection, parallel, and SQL consolidations must all return the
+//! selection, pipelined, and SQL consolidations must all return the
 //! sequential answers while racing on the sharded buffer pool and the
 //! shared decoded-chunk cache.
 //!
@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use molap_array::ChunkFormat;
 use molap_core::{
-    consolidate_auto, consolidate_parallel, AttrRef, ConsolidationResult, Database, DimGrouping,
-    DimensionTable, OlapArray, Query, Selection,
+    consolidate_auto, consolidate_pipelined, AttrRef, ConsolidationResult, Database, DimGrouping,
+    DimensionTable, OlapArray, PrefetchPlan, Query, Selection,
 };
 
 const THREADS: usize = 8;
@@ -90,7 +90,10 @@ fn mixed_concurrent_consolidations_match_sequential() {
                     let (q, expect) = &queries[(t + i) % queries.len()];
                     let got = match i % 4 {
                         0 => adt.consolidate(q).unwrap(),
-                        1 => consolidate_parallel(&adt, q, 1 + (t + i) % 4).unwrap(),
+                        1 => {
+                            consolidate_pipelined(&adt, q, 1 + (t + i) % 4, PrefetchPlan::new(2, 4))
+                                .unwrap()
+                        }
                         2 => consolidate_auto(&adt, q).unwrap(),
                         _ => {
                             assert_eq!(db.sql(sql, &["volume"]).unwrap(), sql_expect);
@@ -140,16 +143,25 @@ fn mixed_concurrent_consolidations_match_sequential() {
 /// whole write path (commit → catalog → generations → results →
 /// versions → LOB → pool) against the declared lock order while
 /// readers hold pool and cache locks concurrently.
+///
+/// `[4, 4]` chunks make 8, `[8, 8]` make 2 — the shape
+/// `consolidate_auto` runs inline, on the calling thread.
 #[test]
 fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
-    use molap_core::{consolidate_pipelined, AggValue, PrefetchPlan, WriteBatch};
+    for chunk_dims in [[4, 4], [8, 8]] {
+        writer_vs_readers(&chunk_dims);
+    }
+}
+
+fn writer_vs_readers(chunk_dims: &[u32]) {
+    use molap_core::{AggValue, WriteBatch};
     use std::sync::Barrier;
 
     const BATCHES: i64 = 10;
     const READERS: usize = 4;
     const READS: usize = 25;
 
-    let path = temp_path("writer");
+    let path = temp_path(&format!("writer-{}", chunk_dims[0]));
     let db = Arc::new(Database::create(&path, 1 << 20).unwrap());
     let dims = vec![
         DimensionTable::build(
@@ -172,7 +184,7 @@ fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
     let adt = OlapArray::build(
         db.pool().clone(),
         dims,
-        &[4, 4],
+        chunk_dims,
         ChunkFormat::Dense,
         cells,
         1,
@@ -278,7 +290,7 @@ fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
 /// in-place overwrite.
 #[test]
 fn chunkoffset_relocating_writes_vs_reopening_readers() {
-    use molap_core::{consolidate_pipelined, AggValue, PrefetchPlan, WriteBatch};
+    use molap_core::{AggValue, WriteBatch};
     use std::sync::Barrier;
 
     const BATCHES: i64 = 10;

@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use molap::array::ChunkFormat;
-use molap::core::{compute_cube, consolidate_parallel, DimGrouping, OlapArray, Query};
+use molap::core::{
+    compute_cube, consolidate_pipelined, DimGrouping, OlapArray, PrefetchPlan, Query,
+};
 use molap::datagen::{generate, AttrLayout, CubeSpec};
 use molap::storage::{BufferPool, MemDisk};
 
@@ -91,12 +93,14 @@ fn main() {
          same results verified)"
     );
 
-    // Parallel scan of the finest consolidation.
+    // Parallel scan of the finest consolidation: `threads` consumers
+    // fed by two prefetchers.
     println!("\nparallel consolidation of the finest group-by:");
     let sequential = adt.consolidate(&query).expect("seq");
     for threads in [1, 2, 4, 8] {
         let start = Instant::now();
-        let res = consolidate_parallel(&adt, &query, threads).expect("parallel");
+        let res = consolidate_pipelined(&adt, &query, threads, PrefetchPlan::new(2, 8))
+            .expect("parallel");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(res, sequential);
         println!("  {threads} thread(s): {ms:>7.1} ms");

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> cargo build --release (e2ebench, its own workspace)"
+# The end-to-end benchmark is not a workspace member, so the build
+# above never compiles it; an API change in the crates it links must
+# still fail here.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --offline
 
