@@ -383,7 +383,7 @@ impl ChunkedArray {
         let key = self.chunk_key(id)?;
         let pool = self.lobs.pool();
         let epoch = pool.epoch();
-        if let Some(hit) = cache.get_tracked(&key, epoch, pool.stats()) {
+        if let Some(hit) = cache.get(&key, epoch) {
             pool.stats().chunk_cache_hit();
             return Ok(hit);
         }
@@ -475,7 +475,7 @@ impl ChunkedArray {
         let key = self.chunk_key(id)?;
         let pool = self.lobs.pool();
         let epoch = pool.epoch();
-        if let Some(hit) = cache.get_tracked(&key, epoch, pool.stats()) {
+        if let Some(hit) = cache.get(&key, epoch) {
             pool.stats().chunk_cache_hit();
             return Ok(hit);
         }
@@ -552,7 +552,7 @@ impl ChunkedArray {
         }
         let key = self.chunk_key(id)?;
         let pool = self.lobs.pool();
-        if let Some(hit) = cache.get_tracked(&key, pool.epoch(), pool.stats()) {
+        if let Some(hit) = cache.get(&key, pool.epoch()) {
             pool.stats().chunk_cache_hit();
             return Ok(ChunkPayload::Chunk(hit));
         }

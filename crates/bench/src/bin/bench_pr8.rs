@@ -1,8 +1,9 @@
 //! PR 8 acceptance bench: optimistic lock coupling under contention —
-//! the four hot read structures (B-tree probe, buffer-pool page-table
-//! hit, decoded-chunk cache get, result-cube cache get), each measured
-//! down its pre-PR-8 mutex path and its optimistic path, at 1/2/4/8
-//! threads, min-of-N wall time per cell.
+//! the two hot read structures that keep an optimistic path (B-tree
+//! probe, buffer-pool page-table hit), each measured down its mutex
+//! path and its optimistic path, at 1/2/4/8 threads, min-of-N wall
+//! time per cell. (The decoded-chunk and result-cube caches have a
+//! single locked lookup, so they have nothing to compare.)
 //!
 //! Every workload is all-hits on a warm structure: the point of the
 //! optimistic path is the *success* path, so the bench measures
@@ -31,11 +32,7 @@ use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use molap_array::{Chunk, ChunkCache, ChunkFormat, ChunkKey, DenseChunk};
 use molap_btree::{BTree, SharedBTree};
-use molap_core::{
-    consolidate_auto, shared_result_cache, CacheKey, DimGrouping, DimensionTable, OlapArray, Query,
-};
 use molap_storage::{BufferPool, MemDisk, PageId};
 
 /// Single-thread bar: the optimistic path must not be slower than the
@@ -72,17 +69,12 @@ fn main() {
     let reps = if smoke { 3 } else { 5 };
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "optimistic lock coupling microbench: {} threads x 4 structures x (mutex|optimistic), \
+        "optimistic lock coupling microbench: {} threads x 2 structures x (mutex|optimistic), \
          min of {reps}, {nproc} CPUs",
         THREAD_COUNTS.len()
     );
 
-    let results = vec![
-        bench_btree(smoke, reps),
-        bench_pool(smoke, reps),
-        bench_chunk_cache(smoke, reps),
-        bench_result_cache(smoke, reps),
-    ];
+    let results = vec![bench_btree(smoke, reps), bench_pool(smoke, reps)];
 
     let mut failed = false;
     for s in &results {
@@ -268,97 +260,6 @@ fn bench_pool(smoke: bool, reps: usize) -> StructureResult {
             let pid = PageId(first.0 + ((t * 13 + i) as u64).wrapping_mul(31) % pages);
             let page = pool.fetch(pid).expect("optimistic hit");
             black_box(page.as_ref()[0]);
-        },
-    )
-}
-
-/// Decoded-chunk cache hits on a fully mirrored working set (well
-/// under the 8 shards x 64 mirror slots).
-fn bench_chunk_cache(smoke: bool, reps: usize) -> StructureResult {
-    let entries: u64 = 256;
-    let ops = if smoke { 10_000 } else { 300_000 };
-    let cache = ChunkCache::new(64 << 20);
-    let keys: Vec<ChunkKey> = (0..entries)
-        .map(|n| ChunkKey {
-            start_page: n * 17 + 3,
-            byte_off: (n % 11) as u32,
-            len: 64,
-        })
-        .collect();
-    for key in &keys {
-        let chunk = Arc::new(Chunk::Dense(DenseChunk::new(64, 1)));
-        cache.insert(*key, 0, chunk, 64);
-    }
-    grid(
-        "chunk_cache_get",
-        ops,
-        reps,
-        |t, i| {
-            let key = &keys[((t * 13 + i).wrapping_mul(31)) % keys.len()];
-            let got = cache.get_via_mutex(key, 0).expect("mutex chunk hit");
-            black_box(got);
-        },
-        |t, i| {
-            let key = &keys[((t * 13 + i).wrapping_mul(31)) % keys.len()];
-            let got = cache.get(key, 0).expect("optimistic chunk hit");
-            black_box(got);
-        },
-    )
-}
-
-/// Result-cube cache hits: a small OLAP array's shared cache warmed
-/// with four query shapes, then probed directly by key.
-fn bench_result_cache(smoke: bool, reps: usize) -> StructureResult {
-    let ops = if smoke { 10_000 } else { 200_000 };
-    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 512));
-    let dims = vec![
-        DimensionTable::build(
-            "store",
-            &(0..12i64).collect::<Vec<_>>(),
-            vec![
-                ("city", (0..12i64).map(|k| k / 2).collect()),
-                ("region", (0..12i64).map(|k| k / 6).collect()),
-            ],
-        )
-        .expect("store dim"),
-        DimensionTable::build(
-            "product",
-            &(0..6i64).collect::<Vec<_>>(),
-            vec![("ptype", (0..6i64).map(|k| k % 2).collect())],
-        )
-        .expect("product dim"),
-    ];
-    let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..12i64)
-        .flat_map(|s| (0..6i64).map(move |p| (vec![s, p], vec![s * 10 + p])))
-        .filter(|(k, _)| (k[0] + k[1]) % 3 != 0)
-        .collect();
-    let adt = OlapArray::build(pool, dims, &[4, 3], ChunkFormat::ChunkOffset, cells, 1)
-        .expect("build array");
-    let queries = [
-        Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]),
-        Query::new(vec![DimGrouping::Level(1), DimGrouping::Drop]),
-        Query::new(vec![DimGrouping::Key, DimGrouping::Drop]),
-        Query::new(vec![DimGrouping::Drop, DimGrouping::Level(0)]),
-    ];
-    for q in &queries {
-        consolidate_auto(&adt, q).expect("warm result cache");
-    }
-    let cache = shared_result_cache(adt.pool()).expect("shared result cache");
-    let epoch = adt.pool().epoch();
-    let keys: Vec<CacheKey> = queries.iter().map(|q| CacheKey::of(&adt, q)).collect();
-    grid(
-        "result_cache_get",
-        ops,
-        reps,
-        |t, i| {
-            let key = &keys[(t + i) % keys.len()];
-            let got = cache.get_via_mutex(key, epoch).expect("mutex result hit");
-            black_box(got);
-        },
-        |t, i| {
-            let key = &keys[(t + i) % keys.len()];
-            let got = cache.get(key, epoch).expect("optimistic result hit");
-            black_box(got);
         },
     )
 }

@@ -52,33 +52,15 @@
 //! # Locking
 //!
 //! Sharded like the decoded-chunk cache: each shard's `results` mutex
-//! (see the workspace lock order, DESIGN.md §8) guards the
-//! authoritative map plus a second-chance clock ring bounded by
-//! approximate cube bytes. While a `results` mutex is held the only
-//! things ever acquired are the shard's own mirror locks (below); and
-//! shards are only ever locked one at a time — the subsumption scan
-//! clones candidate `Arc`s out shard by shard and derives outside the
-//! lock.
-//!
-//! # Optimistic reads
-//!
-//! Exact-hit lookups never take the shard `results` mutex. Each shard
-//! mirrors up to [`SLOTS_PER_SHARD`] entries into an
-//! [`AtomicIndex`] (key hash → slot) plus per-entry `result_slot`
-//! mutexes holding `(key, stamps, Arc<ResultCube>)`. A get reads the
-//! global and per-array write generations *first* (`generations` ranks
-//! before `results_v` in the lock order, and the mutex path reads them
-//! in this order too — same TOCTOU either way), then probes under a
-//! [`OptLock`] (`results_v`) optimistic guard: index probe, slot lock,
-//! full key + epoch + generation compare, `Arc` clone out. Hits are
-//! self-validating (the compare happens under the slot mutex), touch
-//! the second-chance bit via a relaxed per-slot atomic, and never
-//! block on the shard. Anything else — hash collision, stale stamps,
-//! version conflict after [`molap_storage::MAX_RESTARTS`] retries —
-//! falls back to the `results` mutex path, which alone drops stale
-//! entries and serves overflow entries the mirror had no slot for.
-//! All mutations hold the shard mutex, take `results_v` exclusively,
-//! and update slots under their mutexes.
+//! (see the workspace lock order, DESIGN.md §8) guards the map plus a
+//! second-chance clock ring bounded by approximate cube bytes. A get
+//! reads the global and per-array write generations first (`generations`
+//! ranks before `results`), then locks its shard, compares the key, the
+//! epoch and both generations, clones the `Arc` out and marks the entry
+//! referenced — the one lookup path. Nothing is ever acquired while a
+//! `results` mutex is held, and shards are only ever locked one at a
+//! time — the subsumption scan clones candidate `Arc`s out shard by
+//! shard and derives outside the lock.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -86,9 +68,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use molap_storage::util::fib_shard;
-use molap_storage::{AtomicIndex, BufferPool, IoStats, OptLock, OptProbe, OptRead};
+use molap_storage::BufferPool;
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicBool;
 
 use crate::adt::OlapArray;
 use crate::error::Result;
@@ -128,13 +109,11 @@ impl CacheKey {
         }
     }
 
-    /// Mixed hash used for both shard routing and the mirror index.
-    /// The top bit is cleared so the value never collides with the
-    /// [`AtomicIndex`] reserved keys.
+    /// Mixed hash used for shard routing.
     fn hash64(&self) -> u64 {
         let mut h = FxHasher::default();
         std::hash::Hash::hash(self, &mut h);
-        h.finish() & (u64::MAX >> 1)
+        h.finish()
     }
 }
 
@@ -147,36 +126,9 @@ struct CacheEntry {
     /// [`ResultCache::array_gen`]).
     array_gen: u64,
     referenced: bool,
-    /// Mirror slot serving lock-free gets, `None` for overflow entries
-    /// (mirror full) — those are served by the mutex path only.
-    slot: Option<usize>,
 }
 
-/// Mirror slots per shard; entries beyond this many per shard still
-/// cache fine, they just miss optimistically and hit via the mutex.
-const SLOTS_PER_SHARD: usize = 64;
-
-/// Published copy of one mirrored entry, read by optimistic gets.
-struct SlotData {
-    key: Arc<CacheKey>,
-    epoch: u64,
-    write_gen: u64,
-    array_gen: u64,
-    cube: Arc<ResultCube>,
-}
-
-/// One mirror slot. The field name `result_slot` is load-bearing: it
-/// is the rank the workspace lock order (and molap-lint) knows this
-/// mutex by. It nests inside `results` and `results_v` and guards
-/// nothing but its own `SlotData`, so it is held only for a
-/// compare-and-clone.
-struct ResultSlot {
-    result_slot: Mutex<Option<SlotData>>,
-    /// Second-chance bit, touched by optimistic hits without any shard
-    /// lock; eviction folds it into the entry's own bit.
-    referenced: AtomicBool,
-}
-
+#[derive(Default)]
 struct ShardMap {
     map: HashMap<Arc<CacheKey>, CacheEntry>,
     /// Second-chance clock ring over the keys; may lag `map` (removed
@@ -184,8 +136,45 @@ struct ShardMap {
     ring: Vec<Arc<CacheKey>>,
     hand: usize,
     bytes: usize,
-    /// Free mirror slots.
-    free: Vec<usize>,
+}
+
+impl ShardMap {
+    fn remove(&mut self, key: &CacheKey) {
+        if let Some(entry) = self.map.remove(key) {
+            self.bytes = self.bytes.saturating_sub(entry.bytes);
+        }
+    }
+
+    /// Evicts one unreferenced entry; returns false if nothing was
+    /// evictable (the ring cycled twice clearing reference bits).
+    fn evict_one(&mut self) -> bool {
+        let mut budget = 2 * self.ring.len();
+        while budget > 0 && !self.ring.is_empty() {
+            budget -= 1;
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
+            }
+            let Some(key) = self.ring.get(self.hand).cloned() else {
+                break;
+            };
+            match self.map.get_mut(&key) {
+                // Stale ring slot (entry removed/invalidated): compact.
+                None => {
+                    self.ring.swap_remove(self.hand);
+                }
+                Some(entry) if entry.referenced => {
+                    entry.referenced = false;
+                    self.hand += 1;
+                }
+                Some(_) => {
+                    self.remove(&key);
+                    self.ring.swap_remove(self.hand);
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// One cache shard. The field name `results` is load-bearing: it is
@@ -193,117 +182,6 @@ struct ShardMap {
 /// by.
 struct CacheShard {
     results: Mutex<ShardMap>,
-    /// Version word over the mirror; writers hold it exclusively
-    /// (under `results`) across every index/slot change.
-    results_v: OptLock,
-    /// Key hash → mirror slot, probed without any lock.
-    index: AtomicIndex,
-    slots: Box<[ResultSlot]>,
-}
-
-impl CacheShard {
-    fn new() -> CacheShard {
-        CacheShard {
-            results: Mutex::new(ShardMap {
-                map: HashMap::new(),
-                ring: Vec::new(),
-                hand: 0,
-                bytes: 0,
-                free: (0..SLOTS_PER_SHARD).collect(),
-            }),
-            results_v: OptLock::new(),
-            index: AtomicIndex::with_capacity(SLOTS_PER_SHARD),
-            slots: (0..SLOTS_PER_SHARD)
-                .map(|_| ResultSlot {
-                    result_slot: Mutex::new(None),
-                    referenced: AtomicBool::new(false),
-                })
-                .collect(),
-        }
-    }
-
-    /// Removes `key` from the map and, if mirrored, retires its slot.
-    /// Caller holds the `results` mutex.
-    fn remove_entry(&self, m: &mut ShardMap, key: &CacheKey) {
-        if let Some(entry) = m.map.remove(key) {
-            m.bytes = m.bytes.saturating_sub(entry.bytes);
-            if let Some(idx) = entry.slot {
-                let _v = self.results_v.lock_exclusive();
-                self.index.remove(key.hash64(), idx as u64);
-                if let Some(slot) = self.slots.get(idx) {
-                    *slot.result_slot.lock() = None;
-                    slot.referenced.store(false, Ordering::Relaxed);
-                }
-                m.free.push(idx);
-            }
-        }
-    }
-
-    /// Publishes a freshly inserted entry into mirror slot `idx`.
-    /// Caller holds the `results` mutex and has already inserted the
-    /// entry into the map.
-    fn publish_slot(&self, m: &ShardMap, idx: usize, data: SlotData) {
-        let hash = data.key.hash64();
-        let _v = self.results_v.lock_exclusive();
-        if !self.index.insert(hash, idx as u64) {
-            // Tombstones from evictions filled the index: rebuild it
-            // from the authoritative map, then retry (guaranteed to fit
-            // — live mirrored entries never exceed the slot count).
-            self.index.clear();
-            for (k, e) in &m.map {
-                if let Some(i) = e.slot {
-                    let _ = self.index.insert(k.hash64(), i as u64);
-                }
-            }
-            let _ = self.index.insert(hash, idx as u64);
-        }
-        if let Some(slot) = self.slots.get(idx) {
-            *slot.result_slot.lock() = Some(data);
-            slot.referenced.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Evicts one unreferenced entry; returns false if nothing was
-    /// evictable (the ring cycled twice clearing reference bits).
-    /// Caller holds the `results` mutex.
-    fn evict_one(&self, m: &mut ShardMap) -> bool {
-        let mut budget = 2 * m.ring.len();
-        while budget > 0 && !m.ring.is_empty() {
-            budget -= 1;
-            if m.hand >= m.ring.len() {
-                m.hand = 0;
-            }
-            let Some(key) = m.ring.get(m.hand).cloned() else {
-                break;
-            };
-            let touched = match m.map.get_mut(&key) {
-                // Stale ring slot (entry removed/invalidated): compact.
-                None => {
-                    m.ring.swap_remove(m.hand);
-                    continue;
-                }
-                Some(entry) => {
-                    // Fold the slot's lock-free touch bit into the
-                    // entry's; both clear on this clock pass.
-                    let slot_touch = entry
-                        .slot
-                        .and_then(|i| self.slots.get(i))
-                        .is_some_and(|s| s.referenced.swap(false, Ordering::Relaxed));
-                    let touched = entry.referenced || slot_touch;
-                    entry.referenced = false;
-                    touched
-                }
-            };
-            if touched {
-                m.hand += 1;
-            } else {
-                self.remove_entry(m, &key);
-                m.ring.swap_remove(m.hand);
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// A sharded, byte-bounded cache of consolidation result cubes,
@@ -331,7 +209,11 @@ impl ResultCache {
     /// cubes. A zero capacity disables caching (inserts no-op).
     pub fn new(capacity_bytes: usize) -> Self {
         ResultCache {
-            shards: (0..CACHE_SHARDS).map(|_| CacheShard::new()).collect(),
+            shards: (0..CACHE_SHARDS)
+                .map(|_| CacheShard {
+                    results: Mutex::default(),
+                })
+                .collect(),
             shard_capacity: capacity_bytes / CACHE_SHARDS,
             write_gen: AtomicU64::new(0),
             generations: Mutex::new(HashMap::new()),
@@ -374,118 +256,13 @@ impl ResultCache {
     /// different pool epoch or write generation (global or per-array)
     /// as cold (dropped on the spot).
     pub fn get(&self, key: &CacheKey, epoch: u64) -> Option<Arc<ResultCube>> {
-        self.get_with(key, epoch, None)
-    }
-
-    /// [`ResultCache::get`], recording the optimistic probe's outcome
-    /// (reads / restarts / escalations) into `stats`.
-    pub fn get_tracked(
-        &self,
-        key: &CacheKey,
-        epoch: u64,
-        stats: &IoStats,
-    ) -> Option<Arc<ResultCube>> {
-        self.get_with(key, epoch, Some(stats))
-    }
-
-    fn get_with(
-        &self,
-        key: &CacheKey,
-        epoch: u64,
-        stats: Option<&IoStats>,
-    ) -> Option<Arc<ResultCube>> {
-        // Generations are read *before* the optimistic section:
-        // `array_gen` locks `generations`, which ranks ahead of
-        // `results_v` in the workspace lock order — and the mutex path
-        // reads them in this same order, so the lookup races a
-        // concurrent generation bump identically either way.
+        // Generations are read before the shard lock: `array_gen` locks
+        // `generations`, which ranks ahead of `results` in the workspace
+        // lock order.
         let write_gen = self.write_gen();
         let array_gen = self.array_gen(key.array_id);
-        let shard = self.shard(key);
-        match Self::get_opt(shard, key, epoch, write_gen, array_gen) {
-            OptRead::Hit { value, restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), false);
-                }
-                Some(value)
-            }
-            OptRead::Miss { restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), false);
-                }
-                self.get_locked(shard, key, epoch, write_gen, array_gen)
-            }
-            OptRead::Escalated { restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), true);
-                }
-                self.get_locked(shard, key, epoch, write_gen, array_gen)
-            }
-        }
-    }
-
-    /// The lock-free fast path: probe the mirror under an optimistic
-    /// guard. Hits are self-validating (full key + stamps compared
-    /// under the slot mutex); a miss only means "not answerable
-    /// without the shard mutex".
-    fn get_opt(
-        shard: &CacheShard,
-        key: &CacheKey,
-        epoch: u64,
-        write_gen: u64,
-        array_gen: u64,
-    ) -> OptRead<Arc<ResultCube>> {
-        let hash = key.hash64();
-        shard.results_v.optimistic_read(|_guard| {
-            let Some(idx) = shard.index.probe(hash) else {
-                return OptProbe::Miss;
-            };
-            let Some(slot) = shard.slots.get(idx as usize) else {
-                return OptProbe::Conflict;
-            };
-            let data = slot.result_slot.lock();
-            match data.as_ref() {
-                Some(d)
-                    if *d.key == *key
-                        && d.epoch == epoch
-                        && d.write_gen == write_gen
-                        && d.array_gen == array_gen =>
-                {
-                    let cube = d.cube.clone();
-                    drop(data);
-                    slot.referenced.store(true, Ordering::Relaxed);
-                    OptProbe::Hit(cube)
-                }
-                // Hash collision, remapped slot, or stale stamps: the
-                // mutex path decides (and drops stale entries).
-                _ => OptProbe::Miss,
-            }
-        })
-    }
-
-    /// [`ResultCache::get`] forced down the shard-mutex path with the
-    /// optimistic probe skipped — the pre-optimistic protocol, kept
-    /// callable so the contention microbench and oracle tests can
-    /// compare the two lookup paths on the same cache.
-    #[doc(hidden)]
-    pub fn get_via_mutex(&self, key: &CacheKey, epoch: u64) -> Option<Arc<ResultCube>> {
-        let write_gen = self.write_gen();
-        let array_gen = self.array_gen(key.array_id);
-        self.get_locked(self.shard(key), key, epoch, write_gen, array_gen)
-    }
-
-    /// The mutex path: authoritative lookup, eager stale-entry drop,
-    /// and the only server of overflow (unmirrored) entries.
-    fn get_locked(
-        &self,
-        shard: &CacheShard,
-        key: &CacheKey,
-        epoch: u64,
-        write_gen: u64,
-        array_gen: u64,
-    ) -> Option<Arc<ResultCube>> {
-        let mut m = shard.results.lock();
-        match m.map.get_mut(key) {
+        let mut shard = self.shard(key).results.lock();
+        match shard.map.get_mut(key) {
             Some(entry)
                 if entry.epoch == epoch
                     && entry.write_gen == write_gen
@@ -495,7 +272,7 @@ impl ResultCache {
                 Some(entry.cube.clone())
             }
             Some(_) => {
-                shard.remove_entry(&mut m, key);
+                shard.remove(key);
                 None
             }
             None => None,
@@ -530,43 +307,27 @@ impl ResultCache {
         }
         let key = Arc::new(key);
         let mut evicted = 0u64;
-        let shard = self.shard(&key);
-        let mut m = shard.results.lock();
-        shard.remove_entry(&mut m, &key); // replace any stale entry under the same key
-        while m.bytes + bytes > self.shard_capacity {
-            if !shard.evict_one(&mut m) {
+        let mut shard = self.shard(&key).results.lock();
+        shard.remove(&key); // replace any stale entry under the same key
+        while shard.bytes + bytes > self.shard_capacity {
+            if !shard.evict_one() {
                 return evicted; // nothing evictable; skip caching
             }
             evicted += 1;
         }
-        m.bytes += bytes;
-        let slot = m.free.pop();
-        m.map.insert(
+        shard.bytes += bytes;
+        shard.map.insert(
             key.clone(),
             CacheEntry {
-                cube: cube.clone(),
+                cube,
                 bytes,
                 epoch,
                 write_gen,
                 array_gen,
                 referenced: true,
-                slot,
             },
         );
-        m.ring.push(key.clone());
-        if let Some(idx) = slot {
-            shard.publish_slot(
-                &m,
-                idx,
-                SlotData {
-                    key,
-                    epoch,
-                    write_gen,
-                    array_gen,
-                    cube,
-                },
-            );
-        }
+        shard.ring.push(key);
         evicted
     }
 
@@ -611,9 +372,7 @@ impl ResultCache {
     /// Removes one entry (delta-maintenance MIN/MAX fallback: the cube
     /// is recomputed lazily at its next lookup).
     fn remove_entry(&self, key: &CacheKey) {
-        let shard = self.shard(key);
-        let mut m = shard.results.lock();
-        shard.remove_entry(&mut m, key);
+        self.shard(key).results.lock().remove(key);
     }
 }
 
@@ -837,7 +596,7 @@ where
     let epoch = adt.pool().epoch();
     let key = CacheKey::of(adt, query);
 
-    if let Some(cube) = cache.get_tracked(&key, epoch, stats) {
+    if let Some(cube) = cache.get(&key, epoch) {
         stats.result_cache_hit();
         return cube.to_result(&query.aggs);
     }
@@ -1041,6 +800,10 @@ mod tests {
         cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 3);
         cache.bump_write_gen();
         assert!(cache.get(&key, 3).is_none(), "write invalidates");
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 3);
+        assert!(cache.get(&key, 3).is_some());
+        cache.bump_array_gen(key.array_id);
+        assert!(cache.get(&key, 3).is_none(), "array write invalidates");
         assert_eq!(cache.bytes(), 0);
     }
 
@@ -1151,55 +914,11 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_hits_bypass_the_shard_mutex() {
-        let adt = build();
-        let cache = ResultCache::new(1 << 20);
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let key = CacheKey::of(&adt, &q);
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
-        let stats = IoStats::new();
-        // Hold the shard's own mutex across the gets: a hit that ever
-        // touched `results` would deadlock here.
-        let _m = cache.shard(&key).results.lock();
-        for _ in 0..5 {
-            assert!(cache.get_tracked(&key, 0, &stats).is_some());
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.opt_result_reads, 5);
-        assert_eq!(snap.opt_result_escalations, 0);
-    }
-
-    #[test]
-    fn optimistic_path_respects_every_invalidation_signal() {
-        let adt = build();
-        let cache = ResultCache::new(1 << 20);
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let key = CacheKey::of(&adt, &q);
-        let stats = IoStats::new();
-        // Global write generation.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
-        assert!(cache.get_tracked(&key, 0, &stats).is_some());
-        cache.bump_write_gen();
-        assert!(cache.get_tracked(&key, 0, &stats).is_none());
-        // Per-array generation.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
-        assert!(cache.get_tracked(&key, 0, &stats).is_some());
-        cache.bump_array_gen(key.array_id);
-        assert!(cache.get_tracked(&key, 0, &stats).is_none());
-        // Pool clear epoch.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 7);
-        assert!(cache.get_tracked(&key, 7, &stats).is_some());
-        assert!(cache.get_tracked(&key, 8, &stats).is_none());
-        assert_eq!(cache.bytes(), 0, "stale entries dropped eagerly");
-        assert_eq!(stats.snapshot().opt_result_reads, 6);
-    }
-
-    #[test]
     fn concurrent_gets_race_inserts_and_invalidations() {
-        // Readers hammer the optimistic path while writers insert and
-        // fire every invalidation signal. Each key always maps to one
-        // known cube, so any hit must be exactly that Arc — a torn or
-        // stale read would surface as a foreign pointer or a panic.
+        // Readers hammer `get` while writers insert and fire every
+        // invalidation signal. Each key always maps to one known cube,
+        // so any hit must be exactly that Arc — a torn or stale read
+        // would surface as a foreign pointer or a panic.
         let adt = build();
         let cache = Arc::new(ResultCache::new(1 << 20));
         let queries = [
@@ -1213,30 +932,25 @@ mod tests {
             .map(|q| (CacheKey::of(&adt, q), Arc::new(cube_for(&adt, q))))
             .collect();
         let entries = Arc::new(entries);
-        let stats = Arc::new(IoStats::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
         let readers: Vec<_> = (0..3)
             .map(|t| {
                 let cache = cache.clone();
                 let entries = entries.clone();
-                let stats = stats.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let mut hits = 0u64;
                     let mut i = t;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let (key, cube) = &entries[i % entries.len()];
-                        if let Some(got) = cache.get_tracked(key, 0, &stats) {
+                        if let Some(got) = cache.get(key, 0) {
                             assert!(
                                 Arc::ptr_eq(&got, cube),
                                 "hit returned a cube never inserted for this key"
                             );
-                            hits += 1;
                         }
                         i += 1;
                     }
-                    hits
                 })
             })
             .collect();
@@ -1259,9 +973,9 @@ mod tests {
             }
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        let snap = stats.snapshot();
-        assert!(snap.opt_result_reads >= hits, "every hit was tracked");
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ pub struct LineFacts {
     pub line: usize,
     pub acquisitions: Vec<Acq>,
     /// Optimistic *read* spans opened on this line
-    /// (`.begin_optimistic()` bindings, `.optimistic_read(` closures).
+    /// (`.begin_optimistic()` bindings).
     /// Not locks — they order nothing — but I/O performed while one is
     /// live is the `olc-io` rule's finding.
     pub opt_spans: Vec<Acq>,
@@ -1088,21 +1088,17 @@ pub fn find_acquisitions(line: &str) -> Vec<Acq> {
 /// Finds the optimistic-concurrency sites on a scrubbed line slice:
 /// `.lock_exclusive()` (the version word's exclusive/spinlock side,
 /// pushed into `acquisitions` with `optimistic: true`) and
-/// `.begin_optimistic()` / `.optimistic_read(` (read *spans*, pushed
-/// into `opt_spans`). Receivers key by field name like ordinary lock
-/// acquisitions, with one extra wrinkle: an index or call group before
-/// the method (`tree_v[stripe].begin_optimistic()`) is skipped so the
-/// field still names the span.
+/// `.begin_optimistic()` (read *spans*, pushed into `opt_spans`).
+/// Receivers key by field name like ordinary lock acquisitions, with
+/// one extra wrinkle: an index or call group before the method
+/// (`tree_v[stripe].begin_optimistic()`) is skipped so the field still
+/// names the span.
 fn find_optimistic_sites(line: &str, acquisitions: &mut Vec<Acq>, opt_spans: &mut Vec<Acq>) {
     let trimmed = line.trim_start();
     let is_binding = trimmed.starts_with("let ")
         || trimmed.starts_with("if let ")
         || trimmed.starts_with("while let ");
-    for (method, exclusive) in [
-        (".lock_exclusive()", true),
-        (".begin_optimistic()", false),
-        (".optimistic_read(", false),
-    ] {
+    for (method, exclusive) in [(".lock_exclusive()", true), (".begin_optimistic()", false)] {
         let mut from = 0usize;
         while let Some(rel) = line[from..].find(method) {
             let at = from + rel;
@@ -1116,12 +1112,7 @@ fn find_optimistic_sites(line: &str, acquisitions: &mut Vec<Acq>, opt_spans: &mu
             } else {
                 None
             };
-            let temporary = if method == ".optimistic_read(" {
-                // A multi-line closure (`optimistic_read(|g| {`) keeps
-                // the span live until its brace closes; a one-line call
-                // is consumed with its statement.
-                line[at..].matches('{').count() <= line[at..].matches('}').count()
-            } else if line[at + method.len()..].starts_with(['.', '?']) {
+            let temporary = if line[at + method.len()..].starts_with(['.', '?']) {
                 // `begin_optimistic()?.confirm()` pins a number, not a
                 // span; chained guards die with the statement.
                 true

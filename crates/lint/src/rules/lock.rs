@@ -20,11 +20,11 @@
 //!   `g` while parked). The runtime counterpart panics in the shim's
 //!   `lock-order-tracking` feature.
 //! * `olc-io` — file/socket I/O while an optimistic *read span* (a
-//!   live `begin_optimistic` guard or an `optimistic_read` closure) is
-//!   open. The span's reads are provisional until validation, so I/O
-//!   inside it either acts on bytes that may be torn or repeats on
-//!   every restart of the retry loop; do the I/O first and re-check
-//!   the version with `still_valid`, the way the B-tree probe does.
+//!   live `begin_optimistic` guard) is open. The span's reads are
+//!   provisional until validation, so I/O inside it either acts on
+//!   bytes that may be torn or repeats on every restart of the retry
+//!   loop; do the I/O first and re-check the version with
+//!   `still_valid`, the way the B-tree probe does.
 //!   `.lock_exclusive()` on a version word needs no extra rule: it is
 //!   an ordinary ranked acquisition (`Effect::AcquireOpt`) and the
 //!   three rules above all apply to it.
@@ -61,10 +61,7 @@ use crate::Finding;
 /// a spinlock, so it ranks like any lock): each sits directly after
 /// the shard mutex whose structure it versions — except `state_v`,
 /// which the pool's fault-in takes while the claimed frame latch
-/// (`data`) is still held, so it must rank after `data` too. The
-/// `*_slot` names are the caches' per-slot mirror mutexes, taken after
-/// their version word by both the mutation paths and the optimistic
-/// probes.
+/// (`data`) is still held, so it must rank after `data` too.
 ///
 /// The DESIGN.md §8 lock table is cross-checked against this const by
 /// the `doc-drift` rule; the two cannot silently diverge.
@@ -77,12 +74,8 @@ pub const DECLARED_ORDER: &[&str] = &[
     "catalog",
     "generations",
     "results",
-    "results_v",
-    "result_slot",
     "delivery",
     "chunks",
-    "chunks_v",
-    "chunk_slot",
     "versions",
     "tree",
     "tree_v",

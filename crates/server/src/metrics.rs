@@ -212,12 +212,6 @@ impl MetricsSnapshot {
             self.io.opt_pool_reads,
             self.io.opt_pool_restarts,
             self.io.opt_pool_escalations,
-            self.io.opt_chunk_reads,
-            self.io.opt_chunk_restarts,
-            self.io.opt_chunk_escalations,
-            self.io.opt_result_reads,
-            self.io.opt_result_restarts,
-            self.io.opt_result_escalations,
             self.io.opt_btree_reads,
             self.io.opt_btree_restarts,
             self.io.opt_btree_escalations,
@@ -278,12 +272,6 @@ impl MetricsSnapshot {
             opt_pool_reads: c.u64()?,
             opt_pool_restarts: c.u64()?,
             opt_pool_escalations: c.u64()?,
-            opt_chunk_reads: c.u64()?,
-            opt_chunk_restarts: c.u64()?,
-            opt_chunk_escalations: c.u64()?,
-            opt_result_reads: c.u64()?,
-            opt_result_restarts: c.u64()?,
-            opt_result_escalations: c.u64()?,
             opt_btree_reads: c.u64()?,
             opt_btree_restarts: c.u64()?,
             opt_btree_escalations: c.u64()?,
@@ -383,16 +371,10 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "olc:      pool {}/{}/{}, chunks {}/{}/{}, results {}/{}/{}, btree {}/{}/{} (reads/restarts/escalations)",
+            "olc:      pool {}/{}/{}, btree {}/{}/{} (reads/restarts/escalations)",
             self.io.opt_pool_reads,
             self.io.opt_pool_restarts,
             self.io.opt_pool_escalations,
-            self.io.opt_chunk_reads,
-            self.io.opt_chunk_restarts,
-            self.io.opt_chunk_escalations,
-            self.io.opt_result_reads,
-            self.io.opt_result_restarts,
-            self.io.opt_result_escalations,
             self.io.opt_btree_reads,
             self.io.opt_btree_restarts,
             self.io.opt_btree_escalations
@@ -474,12 +456,6 @@ mod tests {
             opt_pool_reads: 20,
             opt_pool_restarts: 3,
             opt_pool_escalations: 1,
-            opt_chunk_reads: 19,
-            opt_chunk_restarts: 2,
-            opt_chunk_escalations: 0,
-            opt_result_reads: 18,
-            opt_result_restarts: 1,
-            opt_result_escalations: 0,
             opt_btree_reads: 17,
             opt_btree_restarts: 4,
             opt_btree_escalations: 2,

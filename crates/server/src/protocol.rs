@@ -36,7 +36,7 @@
 //! |-----:|------|---------|
 //! | `0x81` | ResultSet | `columns: u16 count + str*`, `rows: u32 count + row*` |
 //! | `0x82` | Pong | empty |
-//! | `0x83` | StatsReply | [`crate::metrics::MetricsSnapshot`] encoding: 10 server counters (incl. queries-coalesced), 16 histogram buckets, 37 pool-I/O counters (incl. prefetch issued/hits/wasted/queue-peak, result-cache hits/misses/derived/evictions/invalidations/patched/fallbacks, write batches/cells, optimistic-read reads/restarts/escalations for pool/chunks/results/btree, and HBI probes/bitmaps-read plus planner btree/hbi route counts), shard pairs |
+//! | `0x83` | StatsReply | [`crate::metrics::MetricsSnapshot`] encoding: 10 server counters (incl. queries-coalesced), 16 histogram buckets, 31 pool-I/O counters (incl. prefetch issued/hits/wasted/queue-peak, result-cache hits/misses/derived/evictions/invalidations/patched/fallbacks, write batches/cells, optimistic-read reads/restarts/escalations for pool/btree, and HBI probes/bitmaps-read plus planner btree/hbi route counts), shard pairs |
 //! | `0x84` | ObjectList | `u32 count + (name: str, kind: u8)*` |
 //! | `0x85` | Error | `code: u16`, `message: str` |
 //! | `0x86` | ShutdownStarted | empty |

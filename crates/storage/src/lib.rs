@@ -62,9 +62,7 @@ mod wal;
 pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
 pub use lob::{LobId, LobStore};
-pub use olc::{
-    AtomicIndex, ExclusiveOptGuard, OptLock, OptProbe, OptRead, OptimisticGuard, MAX_RESTARTS,
-};
+pub use olc::{AtomicIndex, ExclusiveOptGuard, OptLock, OptimisticGuard, MAX_RESTARTS};
 pub use page::{PageBuf, PageId, INVALID_PAGE, PAGE_SIZE};
 pub use pool::{BufferPool, PageMut, PageRef};
 pub use stats::{IoSnapshot, IoStats, ShardStats};

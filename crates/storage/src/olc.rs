@@ -1,8 +1,7 @@
 //! Optimistic lock coupling: version-validated reads with escalation.
 //!
-//! The hot read paths of PRs 3–6 (buffer-pool page-table hits,
-//! decoded-chunk cache gets, result-cube cache gets, B-tree probes)
-//! all serialize on a shard mutex even when nothing is being written.
+//! Buffer-pool page-table hits and shared B-tree probes would otherwise
+//! serialize on a shard mutex even when nothing is being written.
 //! This module supplies the shared primitive that removes the mutex
 //! from their success paths, in the LeanStore/umbra optimistic-lock-
 //! coupling style (ROADMAP item 1): an [`OptLock`] is a seqlock-like
@@ -28,12 +27,12 @@
 //! plain non-atomic memory: everything read under an optimistic guard
 //! is either an atomic cell (the [`AtomicIndex`] buckets, frame pin
 //! counts, second-chance bits) or data behind its own small lock (a
-//! per-slot mutex, a frame latch) that the mutation paths also take.
+//! frame latch) that the mutation paths also take.
 //! Validation therefore never has to paper over a data race — it only
 //! decides whether the *combination* of values read is current. A
 //! validated read is provably equivalent to the mutex path: each probe
-//! either observed state that was simultaneously live (same `Arc`,
-//! same frame mapping) or validation fails and the read restarts.
+//! either observed state that was simultaneously live (same frame
+//! mapping, same node) or validation fails and the read restarts.
 //!
 //! # Escalation and the runtime ABBA graph
 //!
@@ -44,7 +43,7 @@
 //! hooks), so an exclusive version-word acquisition appears in the
 //! runtime lock-order graph exactly like a mutex edge and an inverted
 //! escalation order panics instead of deadlocking. The static
-//! counterpart is molap-lint's `Acquire(OptRead)` effect arm and the
+//! counterpart is molap-lint's `AcquireOpt` effect arm and the
 //! `olc-io` rule (see DESIGN.md §8).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,46 +132,6 @@ impl OptLock {
             std::hint::spin_loop();
         }
     }
-
-    /// Drives one optimistic read to completion: runs `attempt` under
-    /// a fresh guard, validates, and retries on conflict up to
-    /// [`MAX_RESTARTS`] times. A *validated* [`OptProbe::Miss`] ends
-    /// the read immediately (the absence is real — fall back to the
-    /// locked path without burning restarts); an unvalidated probe or
-    /// a [`OptProbe::Conflict`] restarts; exhausting the budget yields
-    /// [`OptRead::Escalated`] and the caller takes its mutex.
-    ///
-    /// `attempt` must be side-effect-free on the Miss/Conflict paths
-    /// (it may run several times); cleanup-carrying protocols like the
-    /// buffer pool's pin dance hand-roll the loop instead.
-    pub fn optimistic_read<T>(
-        &self,
-        mut attempt: impl FnMut(&OptimisticGuard<'_>) -> OptProbe<T>,
-    ) -> OptRead<T> {
-        let mut restarts = 0u32;
-        loop {
-            let Some(guard) = self.begin_optimistic() else {
-                if restarts >= MAX_RESTARTS {
-                    return OptRead::Escalated { restarts };
-                }
-                restarts += 1;
-                std::hint::spin_loop();
-                continue;
-            };
-            let probe = attempt(&guard);
-            let valid = guard.validate();
-            match probe {
-                OptProbe::Hit(value) if valid => return OptRead::Hit { value, restarts },
-                OptProbe::Miss if valid => return OptRead::Miss { restarts },
-                _ => {
-                    if restarts >= MAX_RESTARTS {
-                        return OptRead::Escalated { restarts };
-                    }
-                    restarts += 1;
-                }
-            }
-        }
-    }
 }
 
 /// An optimistic read in progress: a snapshotted version, no lock held.
@@ -226,43 +185,6 @@ impl Drop for ExclusiveOptGuard<'_> {
     }
 }
 
-/// What one optimistic attempt observed (validation pending).
-pub enum OptProbe<T> {
-    /// Found a value; it counts only if validation succeeds.
-    Hit(T),
-    /// Observed a definite absence; final if validation succeeds.
-    Miss,
-    /// Observed something inconsistent mid-read; always restarts.
-    Conflict,
-}
-
-/// The outcome of [`OptLock::optimistic_read`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptRead<T> {
-    /// A validated hit.
-    Hit { value: T, restarts: u32 },
-    /// A validated absence — fall back to the locked lookup/fault path.
-    Miss { restarts: u32 },
-    /// Restart budget exhausted — escalate to the exclusive mutex.
-    Escalated { restarts: u32 },
-}
-
-impl<T> OptRead<T> {
-    /// Restarts this read burned before settling.
-    pub fn restarts(&self) -> u32 {
-        match self {
-            OptRead::Hit { restarts, .. }
-            | OptRead::Miss { restarts }
-            | OptRead::Escalated { restarts } => *restarts,
-        }
-    }
-
-    /// True when the read gave up and the caller must take the mutex.
-    pub fn escalated(&self) -> bool {
-        matches!(self, OptRead::Escalated { .. })
-    }
-}
-
 /// Reserved bucket value: a never-written slot.
 const EMPTY: u64 = u64::MAX;
 /// Reserved bucket value: a deleted slot (probes walk past it).
@@ -278,8 +200,8 @@ const TOMB: u64 = u64::MAX - 1;
 ///
 /// Keys `u64::MAX` and `u64::MAX - 1` are reserved; [`AtomicIndex::insert`]
 /// refuses them and the probe misses, which sends those (never-occurring
-/// in practice: page ids are small, cache keys are hashes) lookups down
-/// the locked fallback path — correct, merely slower.
+/// in practice: page ids are small) lookups down the locked fallback
+/// path — correct, merely slower.
 #[derive(Debug)]
 pub struct AtomicIndex {
     keys: Box<[AtomicU64]>,
@@ -453,77 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_read_hit_miss_and_escalation() {
-        let l = OptLock::new();
-        // Plain hit, no restarts.
-        match l.optimistic_read(|_| OptProbe::Hit(7)) {
-            OptRead::Hit { value, restarts } => {
-                assert_eq!((value, restarts), (7, 0));
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // A validated miss settles immediately.
-        let miss = l.optimistic_read(|_| OptProbe::<i32>::Miss);
-        assert_eq!(miss, OptRead::Miss { restarts: 0 });
-        assert!(!miss.escalated());
-        // A permanent conflict burns the budget and escalates.
-        let esc = l.optimistic_read(|_| OptProbe::<i32>::Conflict);
-        assert_eq!(
-            esc,
-            OptRead::Escalated {
-                restarts: MAX_RESTARTS
-            }
-        );
-        assert!(esc.escalated());
-        assert_eq!(esc.restarts(), MAX_RESTARTS);
-    }
-
-    #[test]
-    fn forced_validation_failure_retries_then_succeeds() {
-        // Deterministic interleave: the attempt itself commits a write
-        // on its first two runs, so validation fails exactly twice and
-        // the third run settles — exercising the retry path without
-        // relying on thread timing.
-        let l = OptLock::new();
-        let mut runs = 0;
-        let out = l.optimistic_read(|_| {
-            runs += 1;
-            if runs <= 2 {
-                drop(l.lock_exclusive()); // invalidates the open guard
-            }
-            OptProbe::Hit(runs)
-        });
-        assert_eq!(
-            out,
-            OptRead::Hit {
-                value: 3,
-                restarts: 2
-            }
-        );
-    }
-
-    #[test]
-    fn forced_conflicts_escalate_after_the_budget() {
-        // Every attempt is invalidated, so the read must give up after
-        // exactly MAX_RESTARTS restarts — the escalation contract the
-        // adopting structures rely on.
-        let l = OptLock::new();
-        let mut runs = 0u32;
-        let out = l.optimistic_read(|_| {
-            runs += 1;
-            drop(l.lock_exclusive());
-            OptProbe::Hit(runs)
-        });
-        assert_eq!(
-            out,
-            OptRead::Escalated {
-                restarts: MAX_RESTARTS
-            }
-        );
-        assert_eq!(runs, MAX_RESTARTS + 1, "initial attempt + restarts");
-    }
-
-    #[test]
     fn atomic_index_basics() {
         let idx = AtomicIndex::with_capacity(4);
         assert_eq!(idx.probe(1), None);
@@ -609,12 +460,12 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut validated = 0u64;
                     for _ in 0..20_000 {
-                        let out = p.lock.optimistic_read(|_| {
-                            let a = p.a.load(Ordering::Relaxed);
-                            let b = p.b.load(Ordering::Relaxed);
-                            OptProbe::Hit((a, b))
-                        });
-                        if let OptRead::Hit { value: (a, b), .. } = out {
+                        let Some(guard) = p.lock.begin_optimistic() else {
+                            continue;
+                        };
+                        let a = p.a.load(Ordering::Relaxed);
+                        let b = p.b.load(Ordering::Relaxed);
+                        if guard.validate() {
                             assert_eq!(a, b, "torn pair observed");
                             validated += 1;
                         }
@@ -632,16 +483,9 @@ mod tests {
             let _validated: u64 = r.join().unwrap();
         }
         // Quiescent read must validate first try.
-        match p
-            .lock
-            .optimistic_read(|_| OptProbe::Hit(p.a.load(Ordering::Relaxed)))
-        {
-            OptRead::Hit { value, restarts } => {
-                assert_eq!(value, 20_000);
-                assert_eq!(restarts, 0);
-            }
-            other => panic!("quiescent read must validate, got {other:?}"),
-        }
+        let guard = p.lock.begin_optimistic().expect("no writer left");
+        assert_eq!(p.a.load(Ordering::Relaxed), 20_000);
+        assert!(guard.validate(), "quiescent read must validate");
         assert_eq!(p.a.load(Ordering::Relaxed), p.b.load(Ordering::Relaxed));
     }
 }

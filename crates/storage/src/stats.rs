@@ -43,12 +43,6 @@ pub struct IoStats {
     opt_pool_reads: AtomicU64,
     opt_pool_restarts: AtomicU64,
     opt_pool_escalations: AtomicU64,
-    opt_chunk_reads: AtomicU64,
-    opt_chunk_restarts: AtomicU64,
-    opt_chunk_escalations: AtomicU64,
-    opt_result_reads: AtomicU64,
-    opt_result_restarts: AtomicU64,
-    opt_result_escalations: AtomicU64,
     opt_btree_reads: AtomicU64,
     opt_btree_restarts: AtomicU64,
     opt_btree_escalations: AtomicU64,
@@ -94,12 +88,6 @@ impl IoStats {
             opt_pool_reads: AtomicU64::new(0),
             opt_pool_restarts: AtomicU64::new(0),
             opt_pool_escalations: AtomicU64::new(0),
-            opt_chunk_reads: AtomicU64::new(0),
-            opt_chunk_restarts: AtomicU64::new(0),
-            opt_chunk_escalations: AtomicU64::new(0),
-            opt_result_reads: AtomicU64::new(0),
-            opt_result_restarts: AtomicU64::new(0),
-            opt_result_escalations: AtomicU64::new(0),
             opt_btree_reads: AtomicU64::new(0),
             opt_btree_restarts: AtomicU64::new(0),
             opt_btree_escalations: AtomicU64::new(0),
@@ -284,34 +272,6 @@ impl IoStats {
         }
     }
 
-    /// Records one optimistic decoded-chunk cache read (see
-    /// [`IoStats::opt_pool`] for the argument convention).
-    #[inline]
-    pub fn opt_chunk(&self, restarts: u64, escalated: bool) {
-        self.opt_chunk_reads.fetch_add(1, Ordering::Relaxed);
-        if restarts > 0 {
-            self.opt_chunk_restarts
-                .fetch_add(restarts, Ordering::Relaxed);
-        }
-        if escalated {
-            self.opt_chunk_escalations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one optimistic result-cube cache read (see
-    /// [`IoStats::opt_pool`] for the argument convention).
-    #[inline]
-    pub fn opt_result(&self, restarts: u64, escalated: bool) {
-        self.opt_result_reads.fetch_add(1, Ordering::Relaxed);
-        if restarts > 0 {
-            self.opt_result_restarts
-                .fetch_add(restarts, Ordering::Relaxed);
-        }
-        if escalated {
-            self.opt_result_escalations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records one optimistic B-tree probe (see [`IoStats::opt_pool`]
     /// for the argument convention).
     #[inline]
@@ -380,12 +340,6 @@ impl IoStats {
             opt_pool_reads: self.opt_pool_reads.load(Ordering::Relaxed),
             opt_pool_restarts: self.opt_pool_restarts.load(Ordering::Relaxed),
             opt_pool_escalations: self.opt_pool_escalations.load(Ordering::Relaxed),
-            opt_chunk_reads: self.opt_chunk_reads.load(Ordering::Relaxed),
-            opt_chunk_restarts: self.opt_chunk_restarts.load(Ordering::Relaxed),
-            opt_chunk_escalations: self.opt_chunk_escalations.load(Ordering::Relaxed),
-            opt_result_reads: self.opt_result_reads.load(Ordering::Relaxed),
-            opt_result_restarts: self.opt_result_restarts.load(Ordering::Relaxed),
-            opt_result_escalations: self.opt_result_escalations.load(Ordering::Relaxed),
             opt_btree_reads: self.opt_btree_reads.load(Ordering::Relaxed),
             opt_btree_restarts: self.opt_btree_restarts.load(Ordering::Relaxed),
             opt_btree_escalations: self.opt_btree_escalations.load(Ordering::Relaxed),
@@ -423,12 +377,6 @@ impl IoStats {
         self.opt_pool_reads.store(0, Ordering::Relaxed);
         self.opt_pool_restarts.store(0, Ordering::Relaxed);
         self.opt_pool_escalations.store(0, Ordering::Relaxed);
-        self.opt_chunk_reads.store(0, Ordering::Relaxed);
-        self.opt_chunk_restarts.store(0, Ordering::Relaxed);
-        self.opt_chunk_escalations.store(0, Ordering::Relaxed);
-        self.opt_result_reads.store(0, Ordering::Relaxed);
-        self.opt_result_restarts.store(0, Ordering::Relaxed);
-        self.opt_result_escalations.store(0, Ordering::Relaxed);
         self.opt_btree_reads.store(0, Ordering::Relaxed);
         self.opt_btree_restarts.store(0, Ordering::Relaxed);
         self.opt_btree_escalations.store(0, Ordering::Relaxed);
@@ -502,18 +450,6 @@ pub struct IoSnapshot {
     pub opt_pool_restarts: u64,
     /// Optimistic pool reads that gave up and took the shard mutex.
     pub opt_pool_escalations: u64,
-    /// Optimistic decoded-chunk cache reads attempted.
-    pub opt_chunk_reads: u64,
-    /// Restarts burned by optimistic chunk-cache reads.
-    pub opt_chunk_restarts: u64,
-    /// Optimistic chunk-cache reads that escalated to the shard mutex.
-    pub opt_chunk_escalations: u64,
-    /// Optimistic result-cube cache reads attempted.
-    pub opt_result_reads: u64,
-    /// Restarts burned by optimistic result-cache reads.
-    pub opt_result_restarts: u64,
-    /// Optimistic result-cache reads that escalated to the shard mutex.
-    pub opt_result_escalations: u64,
     /// Optimistic B-tree probes attempted.
     pub opt_btree_reads: u64,
     /// Restarts burned by optimistic B-tree probes.
@@ -589,22 +525,6 @@ impl IoSnapshot {
             opt_pool_escalations: self
                 .opt_pool_escalations
                 .saturating_sub(earlier.opt_pool_escalations),
-            opt_chunk_reads: self.opt_chunk_reads.saturating_sub(earlier.opt_chunk_reads),
-            opt_chunk_restarts: self
-                .opt_chunk_restarts
-                .saturating_sub(earlier.opt_chunk_restarts),
-            opt_chunk_escalations: self
-                .opt_chunk_escalations
-                .saturating_sub(earlier.opt_chunk_escalations),
-            opt_result_reads: self
-                .opt_result_reads
-                .saturating_sub(earlier.opt_result_reads),
-            opt_result_restarts: self
-                .opt_result_restarts
-                .saturating_sub(earlier.opt_result_restarts),
-            opt_result_escalations: self
-                .opt_result_escalations
-                .saturating_sub(earlier.opt_result_escalations),
             opt_btree_reads: self.opt_btree_reads.saturating_sub(earlier.opt_btree_reads),
             opt_btree_restarts: self
                 .opt_btree_restarts
@@ -700,8 +620,6 @@ mod tests {
         s.result_cache_fallback();
         s.opt_pool(2, false);
         s.opt_pool(3, true);
-        s.opt_chunk(0, false);
-        s.opt_result(1, true);
         s.opt_btree(4, false);
         s.hbi_probe();
         s.hbi_bitmaps_read_add(7);
@@ -734,12 +652,6 @@ mod tests {
         assert_eq!(snap.opt_pool_reads, 2);
         assert_eq!(snap.opt_pool_restarts, 5);
         assert_eq!(snap.opt_pool_escalations, 1);
-        assert_eq!(snap.opt_chunk_reads, 1);
-        assert_eq!(snap.opt_chunk_restarts, 0);
-        assert_eq!(snap.opt_chunk_escalations, 0);
-        assert_eq!(snap.opt_result_reads, 1);
-        assert_eq!(snap.opt_result_restarts, 1);
-        assert_eq!(snap.opt_result_escalations, 1);
         assert_eq!(snap.opt_btree_reads, 1);
         assert_eq!(snap.opt_btree_restarts, 4);
         assert_eq!(snap.opt_btree_escalations, 0);

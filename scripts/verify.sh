@@ -57,6 +57,11 @@ cargo test -q -p molap-server --features lock-order-tracking --offline
 echo "==> cargo test -p molap-core --features lock-order-tracking"
 cargo test -q -p molap-core --features lock-order-tracking --offline
 
+echo "==> cargo test -p parking_lot -p molap-storage -p molap-btree --features lock-order-tracking"
+# The tracker's own order tests, and the pool and SharedBTree OLC
+# suites with every OptLock registered in the runtime lock graph.
+cargo test -q --offline -p parking_lot -p molap-storage -p molap-btree --features lock-order-tracking
+
 echo "==> bench_pr3 --smoke (parallel/caching bench smoke run)"
 cargo run -q --release --offline -p molap-bench --bin bench_pr3 -- \
   --smoke --out target/BENCH_PR3.smoke.json > /dev/null
@@ -73,7 +78,7 @@ echo "==> bench_pr6 --smoke (writes: delta-maintained herd >= 3x invalidate-all)
 cargo run -q --release --offline -p molap-bench --bin bench_pr6 -- \
   --smoke --out target/BENCH_PR6.smoke.json > /dev/null
 
-echo "==> bench_pr8 --smoke (optimistic reads >= 1.0x mutex at 1 thread; >= 1.5x at 4 when nproc >= 4)"
+echo "==> bench_pr8 --smoke (optimistic pool/btree reads >= 1.0x mutex at 1 thread; >= 1.5x at 4 when nproc >= 4)"
 cargo run -q --release --offline -p molap-bench --bin bench_pr8 -- \
   --smoke --out target/BENCH_PR8.smoke.json > /dev/null
 

@@ -214,16 +214,10 @@ fn run_command(backend: &mut Backend, line: &str) -> Result<bool, Box<dyn std::e
                     s.result_cache_invalidations
                 );
                 println!(
-                    "optimistic reads (reads/restarts/escalations): pool {}/{}/{}, chunks {}/{}/{}, results {}/{}/{}, btree {}/{}/{}",
+                    "optimistic reads (reads/restarts/escalations): pool {}/{}/{}, btree {}/{}/{}",
                     s.opt_pool_reads,
                     s.opt_pool_restarts,
                     s.opt_pool_escalations,
-                    s.opt_chunk_reads,
-                    s.opt_chunk_restarts,
-                    s.opt_chunk_escalations,
-                    s.opt_result_reads,
-                    s.opt_result_restarts,
-                    s.opt_result_escalations,
                     s.opt_btree_reads,
                     s.opt_btree_restarts,
                     s.opt_btree_escalations
